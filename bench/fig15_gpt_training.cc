@@ -94,5 +94,8 @@ int main() {
                     "(paper: 2.6x, bracketed)\n",
                     throughput_gain, blocking_gain);
   std::cout << strf("extra iterations per 24 h: {:.0f} (paper: 14,400)\n", extra_per_day);
-  return 0;
+  // Claims gate: the paper's 2.6x must fall between the blocking and the
+  // overlapped gain.
+  constexpr double kPaperGain = 2.6;
+  return blocking_gain <= kPaperGain && kPaperGain <= throughput_gain ? 0 : 1;
 }

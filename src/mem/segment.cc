@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
+#include <new>
 #include <ostream>
 #include <vector>
 
@@ -25,13 +26,16 @@ MemorySegment::MemorySegment(std::string name, MemoryKind kind, Bytes size,
   PORTUS_CHECK_ARG(size > 0, "segment size must be positive");
 }
 
+MemorySegment::Page MemorySegment::new_page() {
+  Page page{static_cast<std::byte*>(std::calloc(kPageSize, 1))};
+  if (!page) throw std::bad_alloc{};
+  return page;
+}
+
 std::byte* MemorySegment::page_for_write(Bytes page_index) {
   std::lock_guard lock{pages_mu_};
   auto& slot = pages_[page_index];
-  if (!slot) {
-    slot = std::make_unique<std::byte[]>(kPageSize);
-    std::memset(slot.get(), 0, kPageSize);
-  }
+  if (!slot) slot = new_page();
   return slot.get();
 }
 
@@ -159,7 +163,7 @@ void MemorySegment::load_image(std::istream& in) {
   for (std::uint64_t p = 0; p < count; ++p) {
     std::uint64_t idx = 0;
     in.read(reinterpret_cast<char*>(&idx), 8);
-    auto page = std::make_unique<std::byte[]>(kPageSize);
+    auto page = new_page();
     in.read(reinterpret_cast<char*>(page.get()), kPageSize);
     if (!in.good()) throw Corruption("truncated segment image");
     pages_.emplace(idx, std::move(page));

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -116,7 +117,14 @@ class MemorySegment {
   // PMEM) from real threads, and real PMEM tolerates concurrent stores to
   // distinct lines.
   mutable std::mutex pages_mu_;
-  std::unordered_map<Bytes, std::unique_ptr<std::byte[]>> pages_;
+  // Pages come zeroed from calloc: memory fresh from the OS is zero
+  // already, so a new page costs only the frames its writes touch.
+  struct FreePage {
+    void operator()(std::byte* p) const noexcept { std::free(p); }
+  };
+  using Page = std::unique_ptr<std::byte[], FreePage>;
+  static Page new_page();
+  std::unordered_map<Bytes, Page> pages_;
 };
 
 // Chunked copy between two segments (real byte movement; no time cost —

@@ -25,10 +25,14 @@ void Fabric::connect(QueuePair& a, QueuePair& b) {
 
 sim::SubTask<> Fabric::charge_path(std::vector<sim::BandwidthChannel*> channels, Bytes bytes,
                                    Bandwidth flow_cap) {
-  // Deduplicate (loopback transfers would otherwise double-charge a link).
-  std::sort(channels.begin(), channels.end());
-  channels.erase(std::unique(channels.begin(), channels.end()), channels.end());
-  channels.erase(std::remove(channels.begin(), channels.end(), nullptr), channels.end());
+  // Deduplicate (loopback transfers would otherwise double-charge a link)
+  // in path order: sorting by pointer would spawn flows in heap-address
+  // order and make the event sequence depend on allocation layout.
+  auto kept = channels.begin();
+  for (auto* ch : channels) {
+    if (ch != nullptr && std::find(channels.begin(), kept, ch) == kept) *kept++ = ch;
+  }
+  channels.erase(kept, channels.end());
 
   std::vector<sim::Process> flows;
   flows.reserve(channels.size());
@@ -136,13 +140,16 @@ sim::SubTask<WorkCompletion> Fabric::execute_one_sided(QueuePair& initiator, Wor
 }
 
 sim::SubTask<WorkCompletion> Fabric::execute_send(QueuePair& initiator, WorkRequest wr) {
+  // The phantom tail rides the wire behind the real bytes: it is checked
+  // and charged like them and reported in byte_len, but never copied.
+  const Bytes wire_len = wr.length + wr.phantom_tail;
   WorkCompletion wc{.wr_id = wr.wr_id, .opcode = WcOpcode::kSend, .status = WcStatus::kSuccess,
-                    .byte_len = wr.length};
+                    .byte_len = wire_len};
   QueuePair* peer = initiator.peer();
   PORTUS_CHECK(peer != nullptr, "SEND on unconnected QP");
 
   const MemoryRegion* local = initiator.pd().find_by_lkey(wr.lkey);
-  if (local == nullptr || !local->covers(wr.local_addr, wr.length)) {
+  if (local == nullptr || !local->covers(wr.local_addr, wire_len)) {
     wc.status = WcStatus::kRemoteInvalidRequest;
     co_return wc;
   }
@@ -157,7 +164,7 @@ sim::SubTask<WorkCompletion> Fabric::execute_send(QueuePair& initiator, WorkRequ
 
   const MemoryRegion* remote = peer->pd().find_by_lkey(recv.lkey);
   if (remote == nullptr || !remote->covers(recv.addr, recv.length) ||
-      recv.length < wr.length) {
+      recv.length < wire_len) {
     wc.status = WcStatus::kRemoteInvalidRequest;
     peer->cq().deliver(WorkCompletion{.wr_id = recv.wr_id, .opcode = WcOpcode::kRecv,
                                       .status = WcStatus::kRemoteInvalidRequest,
@@ -173,7 +180,7 @@ sim::SubTask<WorkCompletion> Fabric::execute_send(QueuePair& initiator, WorkRequ
   path.push_back(&peer->nic().link());
   path.push_back(local->device_channel_read);
   path.push_back(remote->device_channel_write);
-  co_await charge_path(std::move(path), wr.length, cap);
+  co_await charge_path(std::move(path), wire_len, cap);
 
   if (!local->phantom && !remote->phantom) {
     mem::copy_bytes(*remote->segment, remote->segment->to_offset(recv.addr), *local->segment,
@@ -182,7 +189,7 @@ sim::SubTask<WorkCompletion> Fabric::execute_send(QueuePair& initiator, WorkRequ
   }
 
   peer->cq().deliver(WorkCompletion{.wr_id = recv.wr_id, .opcode = WcOpcode::kRecv,
-                                    .status = WcStatus::kSuccess, .byte_len = wr.length});
+                                    .status = WcStatus::kSuccess, .byte_len = wire_len});
   co_return wc;
 }
 

@@ -9,7 +9,8 @@
 //
 // Real bytes move with the timing: one-sided READ copies remote->local,
 // WRITE copies local->remote, SEND copies into the remote's posted receive
-// buffer. Phantom regions move time but no bytes (large-model benches).
+// buffer. Phantom regions move time but no bytes (large-model benches), and
+// so does a SEND's phantom_tail: charged on the wire, never copied.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +55,8 @@ class Fabric {
   sim::SubTask<WorkCompletion> execute_one_sided(QueuePair& initiator, WorkRequest wr);
   sim::SubTask<WorkCompletion> execute_send(QueuePair& initiator, WorkRequest wr);
 
-  // Charge `bytes` concurrently on every non-null channel; returns when the
-  // slowest finishes.
+  // Charge `bytes` concurrently on every distinct non-null channel, spawned
+  // in path order; returns when the slowest finishes.
   sim::SubTask<> charge_path(std::vector<sim::BandwidthChannel*> channels, Bytes bytes,
                              Bandwidth flow_cap);
 

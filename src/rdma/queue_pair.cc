@@ -18,11 +18,16 @@ QueuePair::QueuePair(Fabric& fabric, RdmaNic& nic, ProtectionDomain& pd, Complet
   PORTUS_CHECK_ARG(max_outstanding >= 1, "QP processing depth must be >= 1");
 }
 
+void QueuePair::check_wr(const WorkRequest& wr) const {
+  PORTUS_CHECK_ARG(wr.remote_sges.size() <= static_cast<std::size_t>(nic_.spec().max_sges),
+                   "gather list exceeds the NIC's max_sges");
+  PORTUS_CHECK_ARG(wr.phantom_tail == 0 || wr.opcode == WcOpcode::kSend,
+                   "phantom_tail is only valid on a SEND");
+}
+
 void QueuePair::post(WorkRequest wr) {
   PORTUS_CHECK_ARG(connected(), "post on unconnected QP");
-  PORTUS_CHECK_ARG(wr.remote_sges.size() <=
-                       static_cast<std::size_t>(nic_.spec().max_sges),
-                   "gather list exceeds the NIC's max_sges");
+  check_wr(wr);
   wr.chained = false;  // a lone post always rings its own doorbell
   ++doorbells_;
   sq_.push(std::move(wr));
@@ -39,9 +44,7 @@ void QueuePair::post(std::span<const WorkRequest> wrs) {
   bool first = true;
   for (const auto& wr : wrs) {
     PORTUS_CHECK_ARG(connected(), "post on unconnected QP");
-    PORTUS_CHECK_ARG(wr.remote_sges.size() <=
-                         static_cast<std::size_t>(nic_.spec().max_sges),
-                     "gather list exceeds the NIC's max_sges");
+    check_wr(wr);
     WorkRequest copy = wr;
     copy.chained = !first || busy;  // list entries after the head ride its doorbell
     first = false;

@@ -52,7 +52,14 @@ struct WorkRequest {
   // The list length is capped by the posting NIC's NicSpec::max_sges.
   std::uint32_t rkey = 0;
   std::uint64_t remote_addr = 0;
-  std::vector<RemoteSge> remote_sges;
+  std::vector<RemoteSge> remote_sges{};
+  // SEND only: wire bytes charged after the `length` real bytes but never
+  // copied (phantom payloads riding a real message header). The local MR
+  // and the posted receive must still cover length + phantom_tail, the
+  // path is charged for it, and both completions report it as byte_len;
+  // the receive buffer past `length` is left untouched. post() rejects a
+  // tail on any other opcode.
+  Bytes phantom_tail = 0;
   // Set by the chained post() overload for every list entry after the
   // first: this WR rode an earlier WR's doorbell, so the fabric discounts
   // NicSpec::doorbell_latency from its per-op setup cost. Callers never
@@ -110,6 +117,7 @@ class QueuePair {
   QueuePair(Fabric& fabric, RdmaNic& nic, ProtectionDomain& pd, CompletionQueue& cq,
             std::uint32_t qp_num, int max_outstanding);
 
+  void check_wr(const WorkRequest& wr) const;
   sim::Process run_send_queue();
   sim::Process execute_one(WorkRequest wr);
 

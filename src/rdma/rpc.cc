@@ -7,6 +7,8 @@ namespace portus::rdma {
 namespace {
 
 // Staging layout: [u16 opcode][u64 payload_len][payload...]
+constexpr Bytes kHeaderSize = 2 + 8;
+
 std::vector<std::byte> encode_message(std::uint16_t opcode,
                                       std::span<const std::byte> payload) {
   BinaryWriter w;
@@ -14,6 +16,24 @@ std::vector<std::byte> encode_message(std::uint16_t opcode,
   w.u64(payload.size());
   w.raw(payload);
   return w.take();
+}
+
+struct Message {
+  std::uint16_t opcode;
+  std::vector<std::byte> payload;
+};
+
+// Decodes the message that landed in `staging` (`landed` = the receive's
+// byte_len): reads only the header and the payload it announces, never the
+// phantom tail behind them.
+Message read_message(const mem::MemorySegment& staging, Bytes landed) {
+  PORTUS_CHECK(landed >= kHeaderSize, "RPC message shorter than its header");
+  const auto header = staging.read(0, kHeaderSize);
+  BinaryReader r{header};
+  const std::uint16_t opcode = r.u16();
+  const Bytes n = r.u64();
+  PORTUS_CHECK(n <= landed - kHeaderSize, "RPC payload overruns the landed message");
+  return Message{opcode, staging.read(kHeaderSize, n)};
 }
 
 }  // namespace
@@ -51,11 +71,11 @@ RpcChannel::RpcChannel(Fabric& fabric, mem::AddressSpace& addr_space, RdmaNic& c
 
 sim::SubTask<std::vector<std::byte>> RpcChannel::call(std::uint16_t opcode,
                                                       std::vector<std::byte> payload,
-                                                      Bytes phantom_payload) {
+                                                      Bytes phantom_tail) {
   PORTUS_CHECK(!call_in_flight_, "RpcChannel calls must not be issued concurrently");
   call_in_flight_ = true;
   const auto msg = encode_message(opcode, payload);
-  PORTUS_CHECK_ARG(msg.size() + phantom_payload <= kStagingSize,
+  PORTUS_CHECK_ARG(msg.size() + phantom_tail <= kStagingSize,
                    "RPC message exceeds staging buffer");
   client_staging_->write(0, msg);
 
@@ -64,7 +84,7 @@ sim::SubTask<std::vector<std::byte>> RpcChannel::call(std::uint16_t opcode,
                                .addr = client_mr_->addr, .length = kStagingSize});
   client_qp_->post(WorkRequest{.opcode = WcOpcode::kSend, .wr_id = 3,
                                .lkey = client_mr_->lkey, .local_addr = client_mr_->addr,
-                               .length = msg.size() + phantom_payload});
+                               .length = msg.size(), .phantom_tail = phantom_tail});
 
   bool sent = false;
   bool received = false;
@@ -81,14 +101,10 @@ sim::SubTask<std::vector<std::byte>> RpcChannel::call(std::uint16_t opcode,
     }
   }
 
-  const auto raw = client_staging_->read(0, resp_len);
-  BinaryReader r{raw};
-  r.u16();  // opcode echo
-  const Bytes n = r.u64();
-  auto body = r.raw(n);
+  auto body = read_message(*client_staging_, resp_len).payload;
   call_in_flight_ = false;
   ++calls_completed_;
-  co_return std::vector<std::byte>(body.begin(), body.end());
+  co_return body;
 }
 
 sim::Process RpcChannel::serve() {
@@ -98,17 +114,11 @@ sim::Process RpcChannel::serve() {
       if (wc.opcode == WcOpcode::kSend) continue;  // our own response send
       PORTUS_CHECK(wc.status == WcStatus::kSuccess, "RPC server receive error");
 
-      const auto raw = server_staging_->read(0, wc.byte_len);
-      BinaryReader r{raw};
-      const std::uint16_t opcode = r.u16();
-      const Bytes n = r.u64();
-      auto body = r.raw(n);
+      Message req = read_message(*server_staging_, wc.byte_len);
+      RpcReply reply = co_await handler_(req.opcode, std::move(req.payload));
 
-      RpcReply reply =
-          co_await handler_(opcode, std::vector<std::byte>(body.begin(), body.end()));
-
-      const auto resp_msg = encode_message(opcode, reply.payload);
-      PORTUS_CHECK_ARG(resp_msg.size() + reply.phantom_pad <= kStagingSize,
+      const auto resp_msg = encode_message(req.opcode, reply.payload);
+      PORTUS_CHECK_ARG(resp_msg.size() + reply.phantom_tail <= kStagingSize,
                        "RPC response exceeds staging buffer");
       server_staging_->write(0, resp_msg);
 
@@ -117,7 +127,8 @@ sim::Process RpcChannel::serve() {
                                    .addr = server_mr_->addr, .length = kStagingSize});
       server_qp_->post(WorkRequest{.opcode = WcOpcode::kSend, .wr_id = 4,
                                    .lkey = server_mr_->lkey, .local_addr = server_mr_->addr,
-                                   .length = resp_msg.size() + reply.phantom_pad});
+                                   .length = resp_msg.size(),
+                                   .phantom_tail = reply.phantom_tail});
     }
   } catch (const Disconnected&) {
     // Engine teardown.

@@ -22,11 +22,11 @@
 
 namespace portus::rdma {
 
-// Handler result: response payload plus optional phantom padding — extra
-// wire bytes charged but not carried (timing-only reads of large files).
+// Handler result: response payload plus an optional phantom tail — extra
+// wire bytes charged but never copied (timing-only reads of large files).
 struct RpcReply {
   std::vector<std::byte> payload;
-  Bytes phantom_pad = 0;
+  Bytes phantom_tail = 0;
 };
 
 // Handler: (opcode, request payload) -> reply. May co_await (e.g. a DAX
@@ -44,14 +44,17 @@ class RpcChannel {
 
   // Issue one call and await the response. Calls on one channel are
   // serialized (BeeGFS streams chunks sequentially per file handle).
-  // `phantom_payload` inflates the request's wire size without carrying
-  // bytes — used by timing-only writes of large files, which must still pay
-  // full transport cost.
+  // `phantom_tail` inflates the request's wire size without carrying bytes
+  // (the SEND's WorkRequest::phantom_tail) — used by timing-only writes of
+  // large files, which must still pay full transport cost. Message plus
+  // tail must fit kStagingSize.
   sim::SubTask<std::vector<std::byte>> call(std::uint16_t opcode,
                                             std::vector<std::byte> payload,
-                                            Bytes phantom_payload = 0);
+                                            Bytes phantom_tail = 0);
 
   std::uint64_t calls_completed() const { return calls_completed_; }
+  const mem::MemorySegment& client_staging() const { return *client_staging_; }
+  const mem::MemorySegment& server_staging() const { return *server_staging_; }
 
  private:
   sim::Process serve();

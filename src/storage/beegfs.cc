@@ -25,7 +25,7 @@ rdma::RpcHandler BeeGfsMount::make_handler() {
     const auto& spec = server_.spec();
     BinaryReader r{req};
     BinaryWriter resp;
-    Bytes phantom_pad = 0;
+    Bytes phantom_tail = 0;
 
     switch (op) {
       case kOpenCreate: {
@@ -74,7 +74,7 @@ rdma::RpcHandler BeeGfsMount::make_handler() {
           resp.raw(std::span<const std::byte>{*entry.contents}.subspan(offset, n));
         } else {
           resp.u8(0);
-          phantom_pad = n;  // the chunk still crosses the wire back
+          phantom_tail = n;  // the chunk still crosses the wire back
         }
         break;
       }
@@ -99,7 +99,7 @@ rdma::RpcHandler BeeGfsMount::make_handler() {
       default:
         throw InvalidArgument("unknown BeeGFS RPC opcode");
     }
-    co_return rdma::RpcReply{resp.take(), phantom_pad};
+    co_return rdma::RpcReply{resp.take(), phantom_tail};
   };
 }
 
@@ -119,16 +119,16 @@ sim::SubTask<> BeeGfsMount::write_file(std::string path, Bytes size,
     const Bytes n = std::min(spec.chunk, size - done);
     BinaryWriter chunk_req;
     chunk_req.u64(n);
-    Bytes phantom_pad = 0;
+    Bytes phantom_tail = 0;
     if (contents != nullptr) {
       chunk_req.u8(1);
       chunk_req.raw(std::span<const std::byte>{*contents}.subspan(done, n));
     } else {
       chunk_req.u8(0);
-      phantom_pad = n;  // the chunk still crosses the wire
+      phantom_tail = n;  // the chunk still crosses the wire
     }
     auto chunk_wire = chunk_req.take();
-    co_await rpc_->call(kWriteChunk, std::move(chunk_wire), phantom_pad);
+    co_await rpc_->call(kWriteChunk, std::move(chunk_wire), phantom_tail);
     done += n;
   }
   co_await rpc_->call(kCommit, {});

@@ -36,6 +36,28 @@ TEST(SegmentTest, WriteSpanningPageBoundary) {
   EXPECT_EQ(seg.read(off + data.size(), 1)[0], std::byte{0});
 }
 
+// A new page must read as zeros around a write even when the allocator hands
+// back memory that a dead segment filled with other bytes.
+TEST(SegmentTest, RecycledPageMemoryReadsAsZeros) {
+  constexpr Bytes kPages = 8;
+  constexpr Bytes kSize = kPages * MemorySegment::kPageSize;
+  std::vector<std::byte> expected(MemorySegment::kPageSize);
+  expected[100] = std::byte{1};
+  for (int round = 0; round < 3; ++round) {
+    {
+      MemorySegment dirty{"dirty", MemoryKind::kDram, kSize, 0x1000};
+      dirty.fill(0, kSize, std::byte{0xEE});
+    }
+    MemorySegment seg{"s", MemoryKind::kDram, kSize, 0x1000};
+    for (Bytes p = 0; p < kPages; ++p) {
+      seg.write(p * MemorySegment::kPageSize + 100, std::vector<std::byte>(1, std::byte{1}));
+    }
+    for (Bytes p = 0; p < kPages; ++p) {
+      EXPECT_EQ(seg.read(p * MemorySegment::kPageSize, MemorySegment::kPageSize), expected);
+    }
+  }
+}
+
 TEST(SegmentTest, OutOfBoundsAccessThrows) {
   MemorySegment seg{"s", MemoryKind::kDram, 4096, 0x1000};
   std::vector<std::byte> data(10);

@@ -244,6 +244,114 @@ TEST(RdmaPhantomTest, PhantomRegionMovesTimeNotBytes) {
   EXPECT_NEAR(to_seconds(end), 0.100, 0.002) << "phantom transfers still take wire time";
 }
 
+// Phantom tails: wire bytes charged behind a SEND's real bytes, never copied.
+sim::Process send_with_tail(Rig& r, Bytes length, Bytes tail, WorkCompletion& send_wc,
+                            WorkCompletion& recv_wc) {
+  r.client_qp.post(WorkRequest{.opcode = WcOpcode::kSend, .wr_id = 9,
+                               .lkey = r.client_mr->lkey, .local_addr = r.client_mr->addr,
+                               .length = length, .phantom_tail = tail});
+  send_wc = co_await r.client_cq.wait_for(9);
+  recv_wc = co_await r.server_cq.wait();
+}
+
+TEST(RdmaSendTest, PhantomTailTakesTheWireTimeOfRealBytes) {
+  const Bytes n = 4_KiB;
+  const Bytes t = 3_MiB + 17;
+  const auto finish = [](Bytes length, Bytes tail) {
+    Rig r;
+    r.server_qp.post_recv(RecvWr{.wr_id = 1, .lkey = r.server_mr->lkey,
+                                 .addr = r.server_mr->addr, .length = 8_MiB});
+    WorkCompletion send_wc{}, recv_wc{};
+    r.eng.spawn(send_with_tail(r, length, tail, send_wc, recv_wc));
+    const Time end = r.eng.run();
+    EXPECT_EQ(send_wc.status, WcStatus::kSuccess);
+    EXPECT_EQ(recv_wc.status, WcStatus::kSuccess);
+    EXPECT_EQ(send_wc.byte_len, length + tail);
+    EXPECT_EQ(recv_wc.byte_len, length + tail);
+    EXPECT_EQ(r.fabric.bytes_moved(), length);
+    return end;
+  };
+  EXPECT_EQ(finish(n, t), finish(n + t, 0));
+}
+
+TEST(RdmaSendTest, PhantomTailLeavesReceiveBufferPastLengthUntouched) {
+  Rig r;
+  const Bytes n = 1000;
+  const Bytes t = 300'000;
+  std::vector<std::byte> payload(n);
+  Rng{4}.fill(payload);
+  r.client_mem->write(0, payload);
+  r.server_mem->fill(0, n + t, std::byte{0xAB});
+  r.server_qp.post_recv(RecvWr{.wr_id = 1, .lkey = r.server_mr->lkey,
+                               .addr = r.server_mr->addr, .length = 1_MiB});
+  WorkCompletion send_wc{}, recv_wc{};
+  r.eng.spawn(send_with_tail(r, n, t, send_wc, recv_wc));
+  r.eng.run();
+  ASSERT_EQ(recv_wc.status, WcStatus::kSuccess);
+  EXPECT_EQ(r.server_mem->read(0, n), payload);
+  EXPECT_EQ(r.server_mem->read(n, t), std::vector<std::byte>(t, std::byte{0xAB}));
+}
+
+TEST(RdmaSendTest, PhantomTailBeyondPostedReceiveFails) {
+  Rig r;
+  r.server_qp.post_recv(RecvWr{.wr_id = 1, .lkey = r.server_mr->lkey,
+                               .addr = r.server_mr->addr, .length = 64_KiB});
+  WorkCompletion send_wc{}, recv_wc{};
+  r.eng.spawn(send_with_tail(r, 1_KiB, 64_KiB, send_wc, recv_wc));
+  r.eng.run();
+  EXPECT_EQ(send_wc.status, WcStatus::kRemoteInvalidRequest);
+  EXPECT_EQ(recv_wc.status, WcStatus::kRemoteInvalidRequest);
+  EXPECT_EQ(r.fabric.bytes_moved(), 0u);
+}
+
+TEST(RdmaSendTest, PostRejectsPhantomTailOnOneSidedOps) {
+  Rig r;
+  for (const WcOpcode op : {WcOpcode::kRead, WcOpcode::kWrite}) {
+    const WorkRequest wr{.opcode = op, .lkey = r.server_mr->lkey,
+                         .local_addr = r.server_mr->addr, .length = 4_KiB,
+                         .rkey = r.client_mr->rkey, .remote_addr = r.client_mr->addr,
+                         .phantom_tail = 1};
+    EXPECT_THROW(r.server_qp.post(wr), InvalidArgument);
+    EXPECT_THROW(r.server_qp.post(std::span<const WorkRequest>{&wr, 1}), InvalidArgument);
+  }
+  EXPECT_EQ(r.server_qp.send_queue_depth(), 0u);
+}
+
+// Two layouts of the same path: the slow and the fast device channel sit at
+// opposite relative addresses. Flow order (and so the DES event sequence)
+// must follow the path, not the heap.
+TEST(FabricTest, FlowOrderIgnoresChannelAddresses) {
+  struct Channels {
+    sim::BandwidthChannel first;
+    sim::BandwidthChannel second;
+  };
+  const auto events = [](bool slow_first) {
+    Rig r;
+    const auto slow = Bandwidth::gb_per_sec(1.0);
+    const auto fast = Bandwidth::gb_per_sec(5.0);
+    Channels ch{{r.eng, slow_first ? slow : fast, "first"},
+                {r.eng, slow_first ? fast : slow, "second"}};
+    sim::BandwidthChannel& slow_ch = slow_first ? ch.first : ch.second;
+    sim::BandwidthChannel& fast_ch = slow_first ? ch.second : ch.first;
+    const auto& src = r.client_pd.register_region(RegionDesc{
+        .segment = nullptr, .addr = 0x7200'0000'0000ull, .length = 1_GiB, .phantom = true,
+        .device_channel_read = &slow_ch});
+    const auto& dst = r.server_pd.register_region(RegionDesc{
+        .segment = nullptr, .addr = 0x7300'0000'0000ull, .length = 1_GiB, .phantom = true,
+        .device_channel_write = &fast_ch});
+    r.eng.spawn([](Rig& rig, const MemoryRegion& s, const MemoryRegion& d) -> sim::Process {
+      const auto wc = co_await rig.client_qp.write_sync(s.lkey, s.addr, 100_MB, d.rkey, d.addr);
+      EXPECT_EQ(wc.status, WcStatus::kSuccess);
+    }(r, src, dst));
+    const Time end = r.eng.run();
+    return std::pair{end, r.eng.events_processed()};
+  };
+  const auto a = events(true);
+  const auto b = events(false);
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
+}
+
 // Contention: N concurrent QPs reading through the same server NIC share its
 // link capacity (12 GB/s), not N x the per-QP cap.
 class RdmaContentionTest : public ::testing::TestWithParam<int> {};
@@ -341,6 +449,31 @@ TEST(RpcTest, SequentialCallsReuseChannel) {
   eng.run();
   EXPECT_EQ(handled, 10);
   EXPECT_EQ(chan.calls_completed(), 10u);
+}
+
+// A timing-only round trip: both directions carry a 1 MiB phantom tail
+// behind a small real message. Only the real bytes land in staging, so
+// neither staging segment grows past the page holding the header.
+TEST(RpcTest, PhantomTailsNeverMaterializeStaging) {
+  sim::Engine eng;
+  mem::AddressSpace as;
+  Fabric fabric{eng};
+  RdmaNic client_nic{eng, "c/nic"}, server_nic{eng, "s/nic"};
+  RpcChannel chan{fabric, as, client_nic, server_nic, "rpc0",
+                  [](std::uint16_t, std::vector<std::byte> req) -> sim::SubTask<RpcReply> {
+                    EXPECT_EQ(req.size(), 16u);
+                    co_return RpcReply{std::vector<std::byte>(8, std::byte{7}), 1_MiB};
+                  }};
+  std::vector<std::byte> resp;
+  eng.spawn([](RpcChannel& c, std::vector<std::byte>& out) -> sim::Process {
+    out = co_await c.call(1, std::vector<std::byte>(16, std::byte{3}), 1_MiB);
+  }(chan, resp));
+  eng.run();
+  EXPECT_EQ(eng.failed_process_count(), 0);
+  EXPECT_EQ(resp, std::vector<std::byte>(8, std::byte{7}));
+  EXPECT_EQ(chan.client_staging().materialized_bytes(), mem::MemorySegment::kPageSize);
+  EXPECT_EQ(chan.server_staging().materialized_bytes(), mem::MemorySegment::kPageSize);
+  EXPECT_EQ(fabric.bytes_moved(), (2u + 8u + 16u) + (2u + 8u + 8u));
 }
 
 }  // namespace

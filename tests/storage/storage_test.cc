@@ -246,6 +246,27 @@ TEST(BeeGfsTest, ConcurrentMountsDegradeAggregateThroughput) {
   EXPECT_GT(aggregate_gbps, 0.4);
 }
 
+// Phantom chunks ride the RPC SENDs as uncopied tails; the wire, handler
+// and DAX charges are unchanged, so the virtual time is pinned exactly.
+TEST(BeeGfsTest, PhantomWriteThenTimingOnlyReadPinsVirtualTime) {
+  BeeGfsFixture f;
+  Duration write_time{};
+  Duration read_time{};
+  f.eng.spawn([](BeeGfsFixture& fx, Duration& w, Duration& r) -> sim::Process {
+    const Time t0 = fx.eng.now();
+    co_await fx.mount.write_file("/phantom.bin", 64_MiB + 123, nullptr);
+    const Time t1 = fx.eng.now();
+    const Bytes n = co_await fx.mount.read_file_time_only("/phantom.bin", false);
+    EXPECT_EQ(n, 64_MiB + 123);
+    w = t1 - t0;
+    r = fx.eng.now() - t1;
+  }(f, write_time, read_time));
+  f.eng.run();
+  EXPECT_EQ(f.eng.failed_process_count(), 0);
+  EXPECT_EQ(write_time.count(), 57407976);
+  EXPECT_EQ(read_time.count(), 28016726);
+}
+
 TEST(BeeGfsTest, RequiresFsdaxNamespace) {
   sim::Engine eng;
   auto cluster = net::Cluster::paper_testbed(eng);

@@ -112,15 +112,13 @@ int cmd_dump(const std::string& image, const std::string& model, const std::stri
   core::Portusctl ctl{*w.daemon};
 
   storage::CheckpointFile file;
-  bool ok = false;
-  w.engine.spawn([](core::Portusctl& c, const std::string& name, storage::CheckpointFile& f,
-                    bool& done) -> sim::Process {
-    f = co_await c.dump(name);
-    done = true;
-  }(ctl, model, file, ok));
+  auto proc = w.engine.spawn(
+      [](core::Portusctl& c, const std::string& name, storage::CheckpointFile& f)
+          -> sim::Process { f = co_await c.dump(name); }(ctl, model, file));
   w.engine.run();
-  if (!ok) {
-    std::cerr << "dump failed\n";
+  proc.check();  // rethrows the dump's cause (e.g. NotFound) into main's handler
+  if (!proc.done()) {
+    std::cerr << "dump did not finish\n";
     return 1;
   }
   const auto container = storage::CheckpointSerializer::serialize(file);
