@@ -104,4 +104,24 @@ inline void print_header(const std::string& title, const std::string& paper_ref)
 
 inline double ratio(Duration a, Duration b) { return to_seconds(a) / to_seconds(b); }
 
+// Paper-claims gate of the per-model speedup figures (Fig. 11/12): the
+// mean speedup must sit within ±15% of the paper's and the largest must
+// fall on `paper_max_model`. Returns the process exit code (0 = claim
+// holds) and names the broken claim on stderr, leaving stdout untouched.
+inline int speedup_gate(double mean, double paper_mean, const std::string& max_model,
+                        const std::string& paper_max_model) {
+  constexpr double kTolerance = 0.15;
+  const bool mean_ok = mean >= paper_mean * (1.0 - kTolerance) &&
+                       mean <= paper_mean * (1.0 + kTolerance);
+  if (!mean_ok) {
+    std::cerr << strf("claims gate: mean speedup {:.2f}x outside {:.2f}x +-15%\n", mean,
+                      paper_mean);
+  }
+  if (max_model != paper_max_model) {
+    std::cerr << strf("claims gate: max speedup on {}, paper has it on {}\n", max_model,
+                      paper_max_model);
+  }
+  return mean_ok && max_model == paper_max_model ? 0 : 1;
+}
+
 }  // namespace portus::bench

@@ -87,8 +87,8 @@ sim::SubTask<> PortusClient::backoff(int attempt, std::uint64_t retry_after_ns) 
   co_await cluster_.engine().sleep(wait);
 }
 
-sim::SubTask<std::vector<std::byte>> PortusClient::retrying_roundtrip(
-    std::vector<std::byte> req_wire) {
+sim::SubTask<OpDoneMsg> PortusClient::retrying_roundtrip(std::vector<std::byte> req_wire,
+                                                         MsgType reply_type) {
   for (int attempt = 0;; ++attempt) {
     auto wire = req_wire;  // keep the original; re-sends ship it verbatim
     std::vector<std::byte> reply;
@@ -101,24 +101,13 @@ sim::SubTask<std::vector<std::byte>> PortusClient::retrying_roundtrip(
     }
 
     if (got_reply) {
-      bool backpressured = false;
-      std::uint64_t hint_ns = 0;
-      const auto type = decode_type(reply);
-      if (type == MsgType::kCheckpointDone) {
-        const auto done = decode_checkpoint_done(reply);
-        backpressured = done.backpressure;
-        hint_ns = done.retry_after_ns;
-      } else if (type == MsgType::kRestoreDone) {
-        const auto done = decode_restore_done(reply);
-        backpressured = done.backpressure;
-        hint_ns = done.retry_after_ns;
-      }
+      auto done = decode_op_done(reply, reply_type);
       // Out of retries: hand the Backpressure answer to the caller, whose
       // ok-check turns it into a hard failure.
-      if (!backpressured || attempt >= retry_.max_retries) co_return reply;
+      if (!done.backpressure || attempt >= retry_.max_retries) co_return done;
       ++stats_.backpressure;
       ++stats_.retries;
-      co_await backoff(attempt, hint_ns);
+      co_await backoff(attempt, done.retry_after_ns);
       continue;
     }
 
@@ -130,6 +119,23 @@ sim::SubTask<std::vector<std::byte>> PortusClient::retrying_roundtrip(
     socket_ = std::move(socket);
     ++stats_.reconnects;
   }
+}
+
+sim::SubTask<std::uint64_t> PortusClient::run_op(std::vector<std::byte> req_wire,
+                                                 MsgType reply_type) {
+  const Time t0 = cluster_.engine().now();
+  const auto done = co_await retrying_roundtrip(std::move(req_wire), reply_type);
+  const bool restore = reply_type == MsgType::kRestoreDone;
+  const char* what = restore ? "restore" : "checkpoint";
+  if (done.epoch_mismatch) {
+    throw EpochMismatch(strf("{} of {} rejected: stale membership epoch {} (daemon at {})",
+                             what, done.model_name, membership_epoch_, done.current_epoch));
+  }
+  PORTUS_CHECK(done.ok, strf("{} failed: {}", what, done.error));
+  ++(restore ? stats_.restores : stats_.checkpoints);
+  (restore ? stats_.last_restore : stats_.last_checkpoint) = cluster_.engine().now() - t0;
+  stats_.last_payload_crc = done.payload_crc;
+  co_return done.epoch;
 }
 
 sim::SubTask<> PortusClient::register_model(dnn::Model& model) {
@@ -223,7 +229,6 @@ sim::SubTask<std::uint64_t> PortusClient::checkpoint(dnn::Model& model,
 
 sim::SubTask<std::uint64_t> PortusClient::checkpoint_named(std::string reg_name,
                                                            std::uint64_t iteration) {
-  const Time t0 = cluster_.engine().now();
   // NOTE: temporaries are materialized into locals before co_await — GCC 12
   // miscompiles non-trivial temporaries inside co_await full-expressions
   // (double destruction after resumption).
@@ -232,40 +237,17 @@ sim::SubTask<std::uint64_t> PortusClient::checkpoint_named(std::string reg_name,
                        .dirty_indices = {},
                        .membership_epoch = membership_epoch_};
   auto wire = encode(req);
-  const auto reply = co_await retrying_roundtrip(std::move(wire));
-  const auto done = decode_checkpoint_done(reply);
-  if (done.epoch_mismatch) {
-    throw EpochMismatch(strf("checkpoint of {} rejected: stale membership epoch {} "
-                             "(daemon at {})",
-                             done.model_name, membership_epoch_, done.current_epoch));
-  }
-  PORTUS_CHECK(done.ok, "checkpoint failed: " + done.error);
-  ++stats_.checkpoints;
-  stats_.last_checkpoint = cluster_.engine().now() - t0;
-  stats_.last_payload_crc = done.payload_crc;
-  co_return done.epoch;
+  co_return co_await run_op(std::move(wire), MsgType::kCheckpointDone);
 }
 
 sim::SubTask<std::uint64_t> PortusClient::checkpoint_incremental(
     dnn::Model& model, std::uint64_t iteration, std::vector<std::uint32_t> dirty_indices) {
-  const Time t0 = cluster_.engine().now();
   CheckpointReqMsg req{.model_name = model.name(),
                        .iteration = iteration,
                        .dirty_indices = std::move(dirty_indices),
                        .membership_epoch = membership_epoch_};
   auto wire = encode(req);
-  const auto reply = co_await retrying_roundtrip(std::move(wire));
-  const auto done = decode_checkpoint_done(reply);
-  if (done.epoch_mismatch) {
-    throw EpochMismatch(strf("checkpoint of {} rejected: stale membership epoch {} "
-                             "(daemon at {})",
-                             done.model_name, membership_epoch_, done.current_epoch));
-  }
-  PORTUS_CHECK(done.ok, "checkpoint failed: " + done.error);
-  ++stats_.checkpoints;
-  stats_.last_checkpoint = cluster_.engine().now() - t0;
-  stats_.last_payload_crc = done.payload_crc;
-  co_return done.epoch;
+  co_return co_await run_op(std::move(wire), MsgType::kCheckpointDone);
 }
 
 sim::SubTask<std::uint64_t> PortusClient::restore(dnn::Model& model) {
@@ -274,23 +256,11 @@ sim::SubTask<std::uint64_t> PortusClient::restore(dnn::Model& model) {
 
 sim::SubTask<std::uint64_t> PortusClient::restore_named(std::string reg_name,
                                                         std::uint64_t required_epoch) {
-  const Time t0 = cluster_.engine().now();
   RestoreReqMsg req{.model_name = std::move(reg_name),
                     .required_epoch = required_epoch,
                     .membership_epoch = membership_epoch_};
   auto wire = encode(req);
-  const auto reply = co_await retrying_roundtrip(std::move(wire));
-  const auto done = decode_restore_done(reply);
-  if (done.epoch_mismatch) {
-    throw EpochMismatch(strf("restore of {} rejected: stale membership epoch {} "
-                             "(daemon at {})",
-                             done.model_name, membership_epoch_, done.current_epoch));
-  }
-  PORTUS_CHECK(done.ok, "restore failed: " + done.error);
-  ++stats_.restores;
-  stats_.last_restore = cluster_.engine().now() - t0;
-  stats_.last_payload_crc = done.payload_crc;
-  co_return done.epoch;
+  co_return co_await run_op(std::move(wire), MsgType::kRestoreDone);
 }
 
 sim::SubTask<> PortusClient::finish(dnn::Model& model) {

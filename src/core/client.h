@@ -168,10 +168,16 @@ class PortusClient {
 
   sim::SubTask<std::vector<std::byte>> roundtrip(std::vector<std::byte> request);
 
-  // Retry loop around one checkpoint/restore roundtrip: absorbs
-  // Backpressure answers and (optionally) op-timeouts per retry_, backing
-  // off with jitter between attempts. `req_wire` is re-sent verbatim.
-  sim::SubTask<std::vector<std::byte>> retrying_roundtrip(std::vector<std::byte> req_wire);
+  // One DO_CHECKPOINT / DO_RESTORE, whichever `req_wire` encodes: the
+  // retried roundtrip, then a stale-epoch answer surfaces as EpochMismatch
+  // and any other refusal as Error, and the op is recorded in stats_.
+  // Returns the committed (checkpoint) or served (restore) epoch.
+  sim::SubTask<std::uint64_t> run_op(std::vector<std::byte> req_wire, MsgType reply_type);
+  // Retry loop around one op roundtrip: absorbs Backpressure answers and
+  // (optionally) op-timeouts per retry_, backing off with jitter between
+  // attempts. `req_wire` is re-sent verbatim; each reply is decoded once.
+  sim::SubTask<OpDoneMsg> retrying_roundtrip(std::vector<std::byte> req_wire,
+                                             MsgType reply_type);
   sim::SubTask<> backoff(int attempt, std::uint64_t retry_after_ns);
 
   net::Cluster& cluster_;

@@ -29,16 +29,7 @@ ClusterCtl::DaemonRow ClusterCtl::inspect(PortusDaemon& daemon) {
 
   row.membership_epoch = daemon.membership_epoch();
 
-  const auto& s = daemon.stats();
-  row.registrations = s.registrations;
-  row.checkpoints = s.checkpoints;
-  row.restores = s.restores;
-  row.failed_ops = s.failed_ops;
-  row.mean_window = s.mean_window();
-  row.peak_window = s.peak_window;
-  row.wrs_posted = s.wrs_posted;
-  row.extents_coalesced = s.extents_coalesced;
-  row.doorbells_per_window = s.doorbells_per_window();
+  row.stats = daemon.stats();
   for (const auto& sh : daemon.allocator().shard_stats()) {
     ++row.alloc_shards;
     row.alloc_refills += sh.refills;
@@ -68,13 +59,15 @@ std::string ClusterCtl::render_status(std::span<PortusDaemon* const> daemons,
                     row.membership_epoch != 0 ? strf("{}", row.membership_epoch) : "-",
                     member != nullptr ? to_string(member->state) : "-",
                     strf("{}", row.shard_copies), strf("{}", row.models),
-                    format_bytes(row.stored_bytes), format_count(row.registrations),
-                    format_count(row.checkpoints), format_count(row.restores),
-                    format_count(row.failed_ops),
-                    strf("{:.2f}/{}", row.mean_window, row.peak_window),
-                    strf("{}/{}", format_count(row.extents_coalesced),
-                         format_count(row.wrs_posted)),
-                    strf("{:.2f}/w", row.doorbells_per_window),
+                    format_bytes(row.stored_bytes), format_count(row.stats.registrations),
+                    format_count(row.stats.checkpoints), format_count(row.stats.restores),
+                    format_count(row.stats.failed_ops),
+                    // Pipeline occupancy (mean/peak), multi-tensor extents
+                    // among the RDMA WRs, mean doorbells per admission burst.
+                    strf("{:.2f}/{}", row.stats.mean_window(), row.stats.peak_window),
+                    strf("{}/{}", format_count(row.stats.extents_coalesced),
+                         format_count(row.stats.wrs_posted)),
+                    strf("{:.2f}/w", row.stats.doorbells_per_window()),
                     // Allocator arenas: count, live bytes, reservation refills.
                     strf("{}x {} {}r", row.alloc_shards, format_bytes(row.alloc_live),
                          row.alloc_refills)});

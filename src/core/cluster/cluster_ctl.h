@@ -28,15 +28,7 @@ class ClusterCtl {
     std::size_t shard_copies = 0;  // shard-scoped ModelTable entries
     std::size_t models = 0;        // distinct models with >= 1 copy here
     Bytes stored_bytes = 0;        // sum of copy slot sizes (one version each)
-    std::uint64_t registrations = 0;
-    std::uint64_t checkpoints = 0;
-    std::uint64_t restores = 0;
-    std::uint64_t failed_ops = 0;
-    double mean_window = 0.0;  // pipeline occupancy
-    int peak_window = 0;
-    std::uint64_t wrs_posted = 0;         // RDMA WRs (gather extent = 1)
-    std::uint64_t extents_coalesced = 0;  // multi-tensor extents among them
-    double doorbells_per_window = 0.0;    // mean doorbells per admission burst
+    PortusDaemon::Stats stats;     // op and datapath counters
     std::uint32_t alloc_shards = 0;       // allocator arenas
     std::uint64_t alloc_refills = 0;      // reservation refills across shards
     Bytes alloc_live = 0;                 // live heap bytes across shards

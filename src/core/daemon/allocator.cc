@@ -235,12 +235,11 @@ void PmemAllocator::persist_entry(std::uint32_t shard, std::uint32_t index) {
 // --- allocation -------------------------------------------------------------
 
 std::uint32_t PmemAllocator::preferred_shard() const {
-  if (tls_home_shard != kNoHome) {
-    return static_cast<std::uint32_t>(tls_home_shard % config_.shards);
-  }
-  if (config_.shards == 1) return 0;
-  return static_cast<std::uint32_t>(std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-                                    config_.shards);
+  // No hint: shard 0. Never a hash of the thread's identity — that value
+  // depends on where the thread's control block sits in memory, so layout
+  // would differ from run to run.
+  return tls_home_shard != kNoHome ? static_cast<std::uint32_t>(tls_home_shard % config_.shards)
+                                   : 0;
 }
 
 std::optional<Bytes> PmemAllocator::claim_free_extent(std::uint32_t shard, Bytes size) {

@@ -161,7 +161,7 @@ class PmemAllocator {
   };
 
   // Thread-local placement hint: while alive, plain alloc() on this thread
-  // targets `shard` instead of the thread-identity hash. The daemon wraps a
+  // targets `shard` instead of shard 0. The daemon wraps a
   // session's MIndex allocations in one so its records land on the
   // session's home (socket-local) shard. Nestable; restores the previous
   // hint on destruction.
@@ -180,7 +180,8 @@ class PmemAllocator {
 
   // Allocate `size` bytes; returns the device offset. Thread-safe: CAS
   // free-list claims + shard-local reservations (the global bump is only
-  // touched on refill). The shard is picked by thread identity.
+  // touched on refill). Lands on the thread's ScopedHome shard, or on
+  // shard 0 without one, so placement never depends on thread identity.
   Bytes alloc(Bytes size);
   // Same, on an explicit shard (daemon workers pin their own arena).
   Bytes alloc_on(std::uint32_t shard, Bytes size);

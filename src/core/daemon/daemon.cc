@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -105,25 +106,6 @@ void PortusDaemon::recover() {
             model_table_->size(), allocator_->live_bytes());
 }
 
-void PortusDaemon::absorb_pipeline_stats(const PipelinedTransfer::Stats& s) {
-  stats_.chunks_posted += s.chunks;
-  stats_.rdma_chunks += s.rdma_chunks;
-  stats_.local_chunks += s.local_chunks;
-  stats_.wrs_posted += s.wrs_posted;
-  stats_.sges_posted += s.sges_posted;
-  stats_.extents_coalesced += s.extents_coalesced;
-  stats_.doorbells += s.doorbells;
-  stats_.admission_windows += s.admission_windows;
-  stats_.rdma_bytes += s.rdma_bytes;
-  stats_.numa_remote_chunks += s.remote_chunks;
-  stats_.numa_tax_bytes += s.numa_tax_bytes;
-  stats_.peak_window = std::max(stats_.peak_window, s.peak_outstanding);
-  stats_.window_chunk_seconds += s.occupancy_integral;
-  stats_.pipeline_busy_seconds += to_seconds(s.busy);
-  stats_.queue_delay_total += s.queue_delay_total;
-  stats_.queue_delay_max = std::max(stats_.queue_delay_max, s.queue_delay_max);
-}
-
 MIndex* PortusDaemon::find_live_index(const std::string& model_name) {
   const auto it = sessions_.find(model_name);
   return it == sessions_.end() ? nullptr : it->second.index.get();
@@ -173,12 +155,12 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
           break;
         }
         case MsgType::kCheckpointReq: {
-          auto reply = co_await handle_checkpoint(decode_checkpoint_req(wire));
+          auto reply = co_await handle_op(decode_checkpoint_req(wire));
           if (!hung_) socket->send(encode(reply));
           break;
         }
         case MsgType::kRestoreReq: {
-          auto reply = co_await handle_restore(decode_restore_req(wire));
+          auto reply = co_await handle_op(decode_restore_req(wire));
           if (!hung_) socket->send(encode(reply));
           break;
         }
@@ -200,25 +182,34 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
   }
 }
 
+std::optional<std::string> PortusDaemon::stale_epoch(std::uint64_t request_epoch) {
+  // Epoch 0 on either side means "not epoch-checked". A stale registration
+  // would pin shard copies to a superseded ring, and a stale op may target
+  // a copy that migrated away: both bounce before taking a worker or an
+  // admission ticket, and the client re-resolves placement and reissues.
+  if (request_epoch == 0 || membership_epoch_ == 0 || request_epoch == membership_epoch_) {
+    return std::nullopt;
+  }
+  ++stats_.epoch_rejects;
+  return strf("stale membership epoch {} (current {})", request_epoch, membership_epoch_);
+}
+
 sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg) {
-  // Membership-epoch gate (protocol v6): a registration placed against a
-  // stale epoch would pin shard copies to a superseded ring — bounce it
-  // before any layout so the client re-resolves first. Epoch 0 on either
-  // side means "not epoch-checked" (standalone daemon / legacy client).
-  if (msg.membership_epoch != 0 && membership_epoch_ != 0 &&
-      msg.membership_epoch != membership_epoch_) {
-    ++stats_.epoch_rejects;
+  if (auto stale = stale_epoch(msg.membership_epoch)) {
     RegisterAckMsg ack;
     ack.ok = false;
     ack.epoch_mismatch = true;
     ack.current_membership_epoch = membership_epoch_;
-    ack.error = strf("stale membership epoch {} (current {})", msg.membership_epoch,
-                     membership_epoch_);
+    ack.error = std::move(*stale);
     co_return ack;
   }
 
   co_await workers_->acquire();
   RegisterAckMsg ack;
+  // Set once this call has billed the tenant, so a registration refused
+  // after the charge (heap or table full) refunds it; a re-registration
+  // of an already-charged model bills nothing and so keeps its charge.
+  bool charged = false;
   try {
     // Tenancy: negotiate the quota grant and charge both slots' PMEM
     // capacity BEFORE any layout happens, so an over-quota registration is
@@ -229,33 +220,28 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
       tenant = &tenants_->admit_tenant(
           msg.tenant_id.empty() ? "default" : msg.tenant_id,
           priority_from_wire(msg.priority), msg.requested_capacity, msg.requested_rate);
-      tenants_->charge(*tenant, msg.model_name, 2 * msg.total_bytes());
+      charged = tenants_->charge(*tenant, msg.model_name, 2 * msg.total_bytes());
     }
 
     ModelSession session;
     session.registration = msg;
 
     // Socket affinity: sessions are dealt round-robin across the modeled
-    // sockets, and each session's allocations prefer a shard whose arena
-    // lives on its home node (so its slots' DIMMs are socket-local to the
-    // worker that will checkpoint it). On a flat topology this degenerates
-    // to the classic preferred_shard round-robin (home stays shard 0 and
-    // the hint is never installed).
+    // sockets, and on a partitioned heap each session's allocations go to
+    // a shard whose arena lives on its home node (so its slots' DIMMs are
+    // socket-local to the worker that will checkpoint it). Without the
+    // hint, allocations land on shard 0 (PmemAllocator::alloc).
     const auto session_seq = next_session_++;
     const auto topo_nodes = std::max<std::uint32_t>(1, device_.perf().numa.nodes);
     session.home_node = static_cast<std::uint32_t>(session_seq % topo_nodes);
+    std::optional<PmemAllocator::ScopedHome> home;
     if (config_.numa_nodes > 1) {
       // Pick within the home node's shard group [node*S/N, (node+1)*S/N).
       const std::uint64_t shards = config_.shards;
       const std::uint64_t lo = session.home_node * shards / config_.numa_nodes;
       const std::uint64_t hi = (session.home_node + 1ull) * shards / config_.numa_nodes;
-      session.home_shard = lo + (session_seq / topo_nodes) % std::max<std::uint64_t>(1, hi - lo);
-    } else {
-      session.home_shard = session_seq % std::max<std::uint32_t>(1, config_.shards);
-    }
-    std::optional<PmemAllocator::ScopedHome> home;
-    if (config_.numa_nodes > 1) {
-      home.emplace(static_cast<std::uint32_t>(session.home_shard));
+      home.emplace(static_cast<std::uint32_t>(
+          lo + (session_seq / topo_nodes) % std::max<std::uint64_t>(1, hi - lo)));
     }
 
     // Reuse the persistent index when this model is already known (training
@@ -328,6 +314,7 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
                msg.tensors.size(), stripes);
   } catch (const Error& e) {
     ++stats_.failed_ops;
+    if (charged) tenants_->uncharge(msg.model_name, 2 * msg.total_bytes());
     ack.ok = false;
     ack.error = e.what();
   }
@@ -335,31 +322,27 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
   co_return ack;
 }
 
-sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg msg) {
+template <typename Req>
+sim::SubTask<OpDoneMsg> PortusDaemon::handle_op(Req msg) {
+  constexpr bool kRestore = std::is_same_v<Req, RestoreReqMsg>;
+  OpDoneMsg done;
+  done.type = kRestore ? MsgType::kRestoreDone : MsgType::kCheckpointDone;
+  done.model_name = msg.model_name;
+  if (auto stale = stale_epoch(msg.membership_epoch)) {
+    done.epoch_mismatch = true;
+    done.current_epoch = membership_epoch_;
+    done.error = std::move(*stale);
+    co_return done;
+  }
+
   // Tenancy: a checkpoint must hold an admission ticket (strict priority +
   // WFQ + pacing, bounded queue) before it may occupy a worker or post a
   // WR. A full queue answers Backpressure — a cheap, retryable roundtrip —
   // without ever touching the worker pool. Unregistered models fall through
   // untenanted and fail the session lookup below like before. Restores are
   // deliberately unthrottled: they are the recovery path.
-  // Membership-epoch gate (protocol v6), checked before admission so a
-  // stale client cannot consume a ticket. No checkpoint is taken; the
-  // client re-resolves placement and reissues.
-  if (msg.membership_epoch != 0 && membership_epoch_ != 0 &&
-      msg.membership_epoch != membership_epoch_) {
-    ++stats_.epoch_rejects;
-    CheckpointDoneMsg done;
-    done.model_name = msg.model_name;
-    done.ok = false;
-    done.epoch_mismatch = true;
-    done.current_epoch = membership_epoch_;
-    done.error = strf("stale membership epoch {} (current {})", msg.membership_epoch,
-                      membership_epoch_);
-    co_return done;
-  }
-
   AdmissionController::Ticket ticket;
-  if (admission_ != nullptr) {
+  if (!kRestore && admission_ != nullptr) {
     const auto it = sessions_.find(msg.model_name);
     Tenant* tenant = it != sessions_.end() ? tenants_->owner_of(msg.model_name) : nullptr;
     if (tenant != nullptr) {
@@ -368,9 +351,6 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
         ticket = co_await admission_->admit(*tenant, op_bytes);
       } catch (const Backpressure& e) {
         ++stats_.backpressure_rejects;
-        CheckpointDoneMsg done;
-        done.model_name = msg.model_name;
-        done.ok = false;
         done.backpressure = true;
         done.retry_after_ns = static_cast<std::uint64_t>(config_.admission_retry_after.count());
         done.error = e.what();
@@ -380,121 +360,23 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
   }
 
   co_await workers_->acquire();
-  auto trace_span = config_.tracer != nullptr
-                        ? config_.tracer->span("checkpoint " + msg.model_name, "portusd")
-                        : sim::Tracer::Span{};
-  CheckpointDoneMsg done;
-  done.model_name = msg.model_name;
+  auto trace_span =
+      config_.tracer != nullptr
+          ? config_.tracer->span(std::string{kRestore ? "restore " : "checkpoint "} +
+                                     msg.model_name,
+                                 "portusd")
+          : sim::Tracer::Span{};
   try {
     const auto it = sessions_.find(msg.model_name);
-    PORTUS_CHECK(it != sessions_.end(), "DO_CHECKPOINT for unregistered model");
-    ModelSession& session = it->second;
-    MIndex& index = *session.index;
-
-    // Incremental mode needs a previous DONE version to copy clean tensors
-    // from; fall back to a full pull otherwise.
-    const auto prev_slot = index.latest_done_slot();
-    std::vector<bool> dirty;
-    if (!msg.dirty_indices.empty() && prev_slot.has_value()) {
-      dirty.assign(index.tensors().size(), false);
-      for (const auto i : msg.dirty_indices) {
-        PORTUS_CHECK(i < dirty.size(), "dirty index out of range");
-        dirty[i] = true;
-      }
-    }
-    const Bytes prev_data_offset =
-        prev_slot.has_value() ? index.slot(*prev_slot).data_offset : 0;
-
-    auto txn = CheckpointTxn::begin(index);
-    const auto* slot_mr = session.slot_mr[txn.slot()];
-    PORTUS_CHECK(slot_mr != nullptr, "write slot has no registered region");
-
-    // Build the extent-planned work list: chunked spans fuse into gather
-    // extents where the slot layout is dense (core/daemon/extent.h), then
-    // dirty extents pull from the remote GPU (one multi-SGE READ per
-    // extent), clean ones copy PMEM-locally from the previous version —
-    // all interleaved through one pipelined datapath so the flush of a
-    // finished chunk overlaps the pull of the next. The planner never
-    // mixes classes inside an extent.
-    const auto extents = plan_extents(
-        index.chunk_spans(config_.chunk_bytes), index.tensors(),
-        ExtentConfig{.coalesce_threshold = config_.coalesce_threshold,
-                     .max_sges = static_cast<int>(session.max_sges)},
-        dirty);
-    std::vector<TransferChunk> work;
-    for (const auto& ext : extents) {
-      const auto& head = ext.members.front();
-      TransferChunk c;
-      c.tensor_index = head.tensor;
-      c.len = ext.len;
-      c.persist_after = true;
-      c.persist_offset = txn.data_offset() + ext.offset_in_slot;
-      // Inline integrity: CRC each chunk as it lands (phantom payloads are
-      // simulated, not materialized — nothing to checksum).
-      c.collect_crc = !index.phantom();
-      c.tensor_offset = head.offset;
-      if (!dirty.empty() && !dirty[head.tensor]) {
-        c.kind = TransferChunk::Kind::kLocalCopy;
-        c.dst_offset = txn.data_offset() + ext.offset_in_slot;
-        c.src_offset = prev_data_offset + ext.offset_in_slot;
-        c.phantom = index.phantom();
-      } else {
-        const auto& desc = session.registration.tensors[head.tensor];
-        c.kind = TransferChunk::Kind::kRead;
-        c.lkey = slot_mr->lkey;
-        c.local_addr = slot_mr->addr + ext.offset_in_slot;
-        c.rkey = desc.rkey;
-        c.remote_addr = desc.gpu_addr + head.offset;
-      }
-      if (ext.coalesced()) {
-        for (const auto& m : ext.members) {
-          const auto& d = session.registration.tensors[m.tensor];
-          c.members.push_back(TransferChunk::ExtentMember{
-              .tensor_index = m.tensor,
-              .len = m.len,
-              .rkey = d.rkey,
-              .remote_addr = d.gpu_addr + m.offset});
-        }
-      }
-      work.push_back(std::move(c));
-    }
-
-    PipelinedTransfer pipe{cluster_.engine(), session.qps, *session.cq,
-                           PipelinedTransfer::Config{.window = config_.pipeline_window,
-                                                  .batch_doorbells = config_.batch_doorbells}};
-    pipe.bind_pmem(&device_, &node_.devdax_write_channel(),
-                   node_.devdax().device().perf().read_bw);
-    pipe.set_home_node(session.home_node);
-    co_await pipe.run(std::move(work));
-    absorb_pipeline_stats(pipe.stats());
-
-    // Catch-all flush (layout padding is not covered by the per-chunk
-    // persists) + the once-per-checkpoint persistence-domain drain, before
-    // declaring the slot DONE.
-    device_.persist(txn.data_offset(), index.slot_size());
-    co_await cluster_.engine().sleep(device_.perf().persist_overhead);
-
-    // A power cut may have fired while this coroutine was suspended on the
-    // datapath; the process it models died with it, so nothing below — CRC
-    // block or DONE flip — may touch PMEM.
-    PORTUS_CHECK(!dead_, "power lost before checkpoint commit");
-
-    if (!index.phantom()) {
-      // Persist the payload-CRC block BEFORE the DONE flip, extending the
-      // ordering to ACTIVE -> data -> CRC block -> DONE: a DONE slot is
-      // thereby guaranteed to carry a valid, epoch-matching block.
-      const auto crcs = pipe.tensor_crcs(index.tensors().size());
-      index.set_payload_crcs(txn.slot(), txn.epoch(), crcs);
-      Crc32 agg;
-      for (const auto c : crcs) agg.update(&c, sizeof c);
-      done.payload_crc = agg.value();
-    }
-
-    txn.commit();
-    ++stats_.checkpoints;
-    stats_.bytes_pulled += session.registration.total_bytes();
+    PORTUS_CHECK(it != sessions_.end(),
+                 std::string{kRestore ? "DO_RESTORE" : "DO_CHECKPOINT"} +
+                     " for unregistered model");
+    const auto crcs = co_await run_op(it->second, msg, done);
+    // CRC-of-per-tensor-CRCs: comparable with dnn::Model::weights_crc().
+    Crc32 agg;
+    for (const auto c : crcs) agg.update(&c, sizeof c);
+    done.payload_crc = agg.value();
     done.ok = true;
-    done.epoch = txn.epoch();
   } catch (const Error& e) {
     ++stats_.failed_ops;
     done.ok = false;
@@ -504,126 +386,181 @@ sim::SubTask<CheckpointDoneMsg> PortusDaemon::handle_checkpoint(CheckpointReqMsg
   co_return done;
 }
 
-sim::SubTask<RestoreDoneMsg> PortusDaemon::handle_restore(RestoreReqMsg msg) {
-  // Membership-epoch gate (protocol v6): a stale client may be about to
-  // restore from a copy that migrated away; make it re-resolve first.
-  if (msg.membership_epoch != 0 && membership_epoch_ != 0 &&
-      msg.membership_epoch != membership_epoch_) {
-    ++stats_.epoch_rejects;
-    RestoreDoneMsg done;
-    done.model_name = msg.model_name;
-    done.ok = false;
-    done.epoch_mismatch = true;
-    done.current_epoch = membership_epoch_;
-    done.error = strf("stale membership epoch {} (current {})", msg.membership_epoch,
-                      membership_epoch_);
-    co_return done;
-  }
-
-  co_await workers_->acquire();
-  auto trace_span = config_.tracer != nullptr
-                        ? config_.tracer->span("restore " + msg.model_name, "portusd")
-                        : sim::Tracer::Span{};
-  RestoreDoneMsg done;
-  done.model_name = msg.model_name;
-  try {
-    const auto it = sessions_.find(msg.model_name);
-    PORTUS_CHECK(it != sessions_.end(), "DO_RESTORE for unregistered model");
-    ModelSession& session = it->second;
-    MIndex& index = *session.index;
-
-    const auto slot_idx = index.latest_done_slot();
-    PORTUS_CHECK(slot_idx.has_value(), "no valid checkpoint version on PMEM");
-    // Replica-epoch floor: a copy that missed the last checkpoint (this
-    // daemon was down or hung while the others committed) must refuse
-    // rather than hand out stale tensors as if they were current.
-    if (msg.required_epoch != 0 && index.slot(*slot_idx).epoch < msg.required_epoch) {
-      throw NotFound(strf("newest DONE version of {} is epoch {}, caller requires >= {}",
-                          msg.model_name, index.slot(*slot_idx).epoch,
-                          msg.required_epoch));
-    }
-    const auto* slot_mr = session.slot_mr[*slot_idx];
-    PORTUS_CHECK(slot_mr != nullptr, "restore slot has no registered region");
-
-    // Integrity scrub before any byte leaves PMEM: the DONE slot must carry
-    // a valid payload-CRC block for its exact epoch, and every tensor's
-    // bytes must still match it. Bit rot (or an undetected torn write)
-    // surfaces here as an explicit Corruption instead of silently feeding
-    // the training job garbage weights.
-    if (!index.phantom()) {
-      const auto& slot = index.slot(*slot_idx);
-      const auto block = index.payload_crcs(*slot_idx);
-      if (!block.has_value() || block->epoch != slot.epoch) {
-        ++stats_.integrity_rejects;
-        throw Corruption(strf("payload-CRC block for {} slot {} is {} at epoch {}",
-                              msg.model_name, *slot_idx,
-                              block.has_value() ? "stale" : "missing or torn",
-                              slot.epoch));
-      }
-      const auto& tensors = index.tensors();
-      for (std::size_t t = 0; t < tensors.size(); ++t) {
-        if (device_.crc(slot.data_offset + tensors[t].offset_in_slot,
-                        tensors[t].size) != block->crcs[t]) {
-          ++stats_.integrity_rejects;
-          throw Corruption(strf("tensor {} of {} failed its payload CRC on restore",
-                                tensors[t].name, msg.model_name));
-        }
-      }
-      Crc32 agg;
-      for (const auto c : block->crcs) agg.update(&c, sizeof c);
-      done.payload_crc = agg.value();
-    }
-
-    // Push every tensor into the remote GPU: pipelined one-sided RDMA
-    // WRITEs through the same chunk/window/stripe engine as checkpoints
-    // (no persists — the destination is volatile GPU memory). Coalesced
-    // extents scatter one contiguous slot range across N tensor buffers.
-    const auto extents = plan_extents(
-        index.chunk_spans(config_.chunk_bytes), index.tensors(),
-        ExtentConfig{.coalesce_threshold = config_.coalesce_threshold,
-                     .max_sges = static_cast<int>(session.max_sges)});
-    std::vector<TransferChunk> work;
-    for (const auto& ext : extents) {
-      const auto& head = ext.members.front();
-      const auto& desc = session.registration.tensors[head.tensor];
-      TransferChunk c;
+sim::SubTask<PortusDaemon::TensorCrcs> PortusDaemon::transfer_slot(ModelSession& session,
+                                                                  SlotTransfer leg) {
+  // Chunked spans fuse into gather extents where the slot layout is dense
+  // (core/daemon/extent.h), never mixing dirty and clean tensors. A
+  // coalesced extent is one multi-SGE work request that gathers (READ) or
+  // scatters (WRITE) one contiguous slot range across N tensor buffers.
+  const MIndex& index = *session.index;
+  const auto extents = plan_extents(
+      index.chunk_spans(config_.chunk_bytes), index.tensors(),
+      ExtentConfig{.coalesce_threshold = config_.coalesce_threshold,
+                   .max_sges = static_cast<int>(session.max_sges)},
+      leg.dirty);
+  std::vector<TransferChunk> work;
+  work.reserve(extents.size());
+  for (const auto& ext : extents) {
+    const auto& head = ext.members.front();
+    TransferChunk c;
+    c.tensor_index = head.tensor;
+    c.tensor_offset = head.offset;
+    c.len = ext.len;
+    c.phantom = index.phantom();
+    if (leg.restore) {
+      // Restores push to volatile GPU memory: nothing to persist.
       c.kind = TransferChunk::Kind::kWrite;
-      c.tensor_index = head.tensor;
-      c.len = ext.len;
-      c.lkey = slot_mr->lkey;
-      c.local_addr = slot_mr->addr + ext.offset_in_slot;
+    } else {
+      c.kind = !leg.dirty.empty() && !leg.dirty[head.tensor] ? TransferChunk::Kind::kLocalCopy
+                                                              : TransferChunk::Kind::kRead;
+      // Persisted, and CRC'd as it lands for the integrity block.
+      c.persist_after = true;
+      c.pmem_offset = leg.slot_offset + ext.offset_in_slot;
+    }
+    if (c.kind == TransferChunk::Kind::kLocalCopy) {
+      c.src_offset = leg.prev_offset + ext.offset_in_slot;
+    } else {
+      const auto& desc = session.registration.tensors[head.tensor];
+      c.lkey = leg.slot_mr->lkey;
+      c.local_addr = leg.slot_mr->addr + ext.offset_in_slot;
       c.rkey = desc.rkey;
       c.remote_addr = desc.gpu_addr + head.offset;
-      if (ext.coalesced()) {
-        for (const auto& m : ext.members) {
-          const auto& d = session.registration.tensors[m.tensor];
-          c.members.push_back(TransferChunk::ExtentMember{
-              .tensor_index = m.tensor,
-              .len = m.len,
-              .rkey = d.rkey,
-              .remote_addr = d.gpu_addr + m.offset});
-        }
-      }
-      work.push_back(std::move(c));
     }
-
-    PipelinedTransfer pipe{cluster_.engine(), session.qps, *session.cq,
-                           PipelinedTransfer::Config{.window = config_.pipeline_window,
-                                                  .batch_doorbells = config_.batch_doorbells}};
-    co_await pipe.run(std::move(work));
-    absorb_pipeline_stats(pipe.stats());
-
-    ++stats_.restores;
-    stats_.bytes_pushed += session.registration.total_bytes();
-    done.ok = true;
-    done.epoch = index.slot(*slot_idx).epoch;
-  } catch (const Error& e) {
-    ++stats_.failed_ops;
-    done.ok = false;
-    done.error = e.what();
+    if (ext.coalesced()) {
+      for (const auto& m : ext.members) {
+        const auto& d = session.registration.tensors[m.tensor];
+        c.members.push_back(TransferChunk::ExtentMember{
+            .tensor_index = m.tensor,
+            .len = m.len,
+            .rkey = d.rkey,
+            .remote_addr = d.gpu_addr + m.offset});
+      }
+    }
+    work.push_back(std::move(c));
   }
-  workers_->release();
-  co_return done;
+
+  PipelinedTransfer pipe{cluster_.engine(), session.qps, *session.cq,
+                         PipelinedTransfer::Config{.window = config_.pipeline_window,
+                                                   .batch_doorbells = config_.batch_doorbells},
+                         stats_};
+  pipe.bind_pmem(&device_, &node_.devdax_write_channel(),
+                 node_.devdax().device().perf().read_bw);
+  pipe.set_home_node(session.home_node);
+  co_await pipe.run(std::move(work));
+  if (leg.restore || index.phantom()) co_return TensorCrcs{};
+  co_return pipe.tensor_crcs(index.tensors().size());
+}
+
+sim::SubTask<PortusDaemon::TensorCrcs> PortusDaemon::run_op(ModelSession& session,
+                                                            const CheckpointReqMsg& msg,
+                                                            OpDoneMsg& done) {
+  MIndex& index = *session.index;
+
+  // Incremental mode needs a previous DONE version to copy clean tensors
+  // from; fall back to a full pull otherwise.
+  const auto prev_slot = index.latest_done_slot();
+  std::vector<bool> dirty;
+  if (!msg.dirty_indices.empty() && prev_slot.has_value()) {
+    dirty.assign(index.tensors().size(), false);
+    for (const auto i : msg.dirty_indices) {
+      PORTUS_CHECK(i < dirty.size(), "dirty index out of range");
+      dirty[i] = true;
+    }
+  }
+  const Bytes prev_data_offset =
+      prev_slot.has_value() ? index.slot(*prev_slot).data_offset : 0;
+
+  auto txn = CheckpointTxn::begin(index);
+  const auto* slot_mr = session.slot_mr[txn.slot()];
+  PORTUS_CHECK(slot_mr != nullptr, "write slot has no registered region");
+  // NOTE: the leg is materialized into a local before co_await — GCC 12
+  // miscompiles non-trivial temporaries inside co_await full-expressions.
+  SlotTransfer leg{.restore = false,
+                   .slot_mr = slot_mr,
+                   .slot_offset = txn.data_offset(),
+                   .prev_offset = prev_data_offset,
+                   .dirty = std::move(dirty)};
+  const auto crcs = co_await transfer_slot(session, std::move(leg));
+
+  // Catch-all flush (layout padding is not covered by the per-chunk
+  // persists) + the once-per-checkpoint persistence-domain drain, before
+  // declaring the slot DONE.
+  device_.persist(txn.data_offset(), index.slot_size());
+  co_await cluster_.engine().sleep(device_.perf().persist_overhead);
+
+  // A power cut may have fired while this coroutine was suspended on the
+  // datapath; the process it models died with it, so nothing below — CRC
+  // block or DONE flip — may touch PMEM.
+  PORTUS_CHECK(!dead_, "power lost before checkpoint commit");
+
+  if (!index.phantom()) {
+    // Persist the payload-CRC block BEFORE the DONE flip, extending the
+    // ordering to ACTIVE -> data -> CRC block -> DONE: a DONE slot is
+    // thereby guaranteed to carry a valid, epoch-matching block.
+    index.set_payload_crcs(txn.slot(), txn.epoch(), crcs);
+  }
+
+  txn.commit();
+  ++stats_.checkpoints;
+  stats_.bytes_pulled += session.registration.total_bytes();
+  done.epoch = txn.epoch();
+  co_return crcs;
+}
+
+sim::SubTask<PortusDaemon::TensorCrcs> PortusDaemon::run_op(ModelSession& session,
+                                                            const RestoreReqMsg& msg,
+                                                            OpDoneMsg& done) {
+  MIndex& index = *session.index;
+  const auto slot_idx = index.latest_done_slot();
+  PORTUS_CHECK(slot_idx.has_value(), "no valid checkpoint version on PMEM");
+  const auto& slot = index.slot(*slot_idx);
+  // Replica-epoch floor: a copy that missed the last checkpoint (this
+  // daemon was down or hung while the others committed) must refuse
+  // rather than hand out stale tensors as if they were current.
+  if (msg.required_epoch != 0 && slot.epoch < msg.required_epoch) {
+    throw NotFound(strf("newest DONE version of {} is epoch {}, caller requires >= {}",
+                        msg.model_name, slot.epoch, msg.required_epoch));
+  }
+  const auto* slot_mr = session.slot_mr[*slot_idx];
+  PORTUS_CHECK(slot_mr != nullptr, "restore slot has no registered region");
+
+  // Integrity scrub before any byte leaves PMEM: the DONE slot must carry
+  // a valid payload-CRC block for its exact epoch, and every tensor's
+  // bytes must still match it. Bit rot (or an undetected torn write)
+  // surfaces here as an explicit Corruption instead of silently feeding
+  // the training job garbage weights.
+  TensorCrcs crcs;
+  if (!index.phantom()) {
+    const auto block = index.payload_crcs(*slot_idx);
+    if (!block.has_value() || block->epoch != slot.epoch) {
+      ++stats_.integrity_rejects;
+      throw Corruption(strf("payload-CRC block for {} slot {} is {} at epoch {}",
+                            msg.model_name, *slot_idx,
+                            block.has_value() ? "stale" : "missing or torn", slot.epoch));
+    }
+    const auto& tensors = index.tensors();
+    for (std::size_t t = 0; t < tensors.size(); ++t) {
+      if (device_.crc(slot.data_offset + tensors[t].offset_in_slot, tensors[t].size) !=
+          block->crcs[t]) {
+        ++stats_.integrity_rejects;
+        throw Corruption(strf("tensor {} of {} failed its payload CRC on restore",
+                              tensors[t].name, msg.model_name));
+      }
+    }
+    crcs = block->crcs;
+  }
+
+  SlotTransfer leg{.restore = true,
+                   .slot_mr = slot_mr,
+                   .slot_offset = slot.data_offset,
+                   .prev_offset = 0,
+                   .dirty = {}};
+  co_await transfer_slot(session, std::move(leg));
+
+  ++stats_.restores;
+  stats_.bytes_pushed += session.registration.total_bytes();
+  done.epoch = slot.epoch;
+  co_return crcs;
 }
 
 }  // namespace portus::core

@@ -23,6 +23,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -47,10 +48,11 @@ class PortusDaemon {
     int workers = 8;
     std::uint32_t model_table_capacity = 224;   // fits in [4 KiB, 18 KiB)
     std::uint32_t alloc_table_capacity = 8192;
-    // Allocator shards (per-worker arenas; see core/daemon/allocator.h).
-    // 1 = the classic single arena, bit-identical offsets and compaction.
-    // Match `workers` to give every worker its own table region and free
-    // list; the alloc_table_capacity is split evenly across shards.
+    // Allocator shards (see core/daemon/allocator.h). 1 = the classic
+    // single arena, bit-identical offsets and compaction. Registrations
+    // allocate on shard 0 unless numa_nodes > 1 homes them on a
+    // socket-local shard; the alloc_table_capacity is split evenly across
+    // shards.
     std::uint32_t shards = 1;
     // Shard reservation refill: how much fresh heap a shard grabs from the
     // global bump when its local region runs dry. 0 = reserve exactly each
@@ -106,7 +108,9 @@ class PortusDaemon {
     Duration admission_retry_after{2'000'000};   // Backpressure hint (2 ms)
   };
 
-  struct Stats {
+  // Control-path counters plus the pipelined datapath's (DatapathStats,
+  // core/daemon/pipeline.h), which every op's transfer adds into directly.
+  struct Stats : DatapathStats {
     std::uint64_t registrations = 0;
     std::uint64_t shard_registrations = 0;  // subset with shard/replica identity
     std::uint64_t checkpoints = 0;
@@ -126,51 +130,6 @@ class PortusDaemon {
     std::uint64_t epoch_rejects = 0;
     Bytes bytes_pulled = 0;
     Bytes bytes_pushed = 0;
-    // --- pipelined datapath observability ---
-    std::uint64_t chunks_posted = 0;
-    std::uint64_t rdma_chunks = 0;
-    std::uint64_t local_chunks = 0;
-    std::uint64_t wrs_posted = 0;         // RDMA WRs (a gather extent = 1)
-    std::uint64_t sges_posted = 0;        // remote SGEs across those WRs
-    std::uint64_t extents_coalesced = 0;  // chunks that fused > 1 tensor
-    std::uint64_t doorbells = 0;          // post() calls (a chained batch = 1)
-    std::uint64_t admission_windows = 0;  // bursts that posted RDMA work
-    // Chunks that landed on a different socket than the session's home
-    // node, and the supplemental DIMM-channel bytes modeling that tax
-    // (multi-socket PMEM only; both stay 0 on flat topologies).
-    std::uint64_t numa_remote_chunks = 0;
-    Bytes numa_tax_bytes = 0;
-    Bytes rdma_bytes = 0;
-    int peak_window = 0;                  // max chunks in flight in any op
-    double window_chunk_seconds = 0.0;    // ∫ outstanding dt, all ops
-    double pipeline_busy_seconds = 0.0;   // datapath wall time, all ops
-    Duration queue_delay_total{0};        // head-of-line stalls, summed
-    Duration queue_delay_max{0};
-
-    double mean_window() const {
-      return pipeline_busy_seconds > 0.0 ? window_chunk_seconds / pipeline_busy_seconds
-                                         : 0.0;
-    }
-    Duration mean_queue_delay() const {
-      return chunks_posted > 0
-                 ? Duration{queue_delay_total.count() /
-                            static_cast<Duration::rep>(chunks_posted)}
-                 : Duration{0};
-    }
-    double bytes_per_wr() const {
-      return wrs_posted > 0 ? static_cast<double>(rdma_bytes) / static_cast<double>(wrs_posted)
-                            : 0.0;
-    }
-    double doorbells_per_window() const {
-      return admission_windows > 0
-                 ? static_cast<double>(doorbells) / static_cast<double>(admission_windows)
-                 : 0.0;
-    }
-    double wrs_per_doorbell() const {
-      return doorbells > 0
-                 ? static_cast<double>(wrs_posted) / static_cast<double>(doorbells)
-                 : 0.0;
-    }
   };
 
   PortusDaemon(net::Cluster& cluster, net::Node& storage_node, QpRendezvous& rendezvous,
@@ -248,21 +207,47 @@ class PortusDaemon {
     // Negotiated gather capability (min of client offer, config, NIC).
     std::uint32_t max_sges = 1;
     // Socket affinity: the worker serving this session is pinned to
-    // home_node, and its allocations prefer home_shard (a shard whose
-    // arena lives on that node). Round-robin assigned at registration;
-    // both 0 on flat topologies.
+    // home_node (round-robin assigned at registration; 0 on flat
+    // topologies).
     std::uint32_t home_node = 0;
-    std::uint64_t home_shard = 0;
   };
 
   sim::Process accept_loop();
   sim::Process session_loop(std::shared_ptr<net::TcpSocket> socket);
 
   sim::SubTask<RegisterAckMsg> handle_register(RegisterModelMsg msg);
-  sim::SubTask<CheckpointDoneMsg> handle_checkpoint(CheckpointReqMsg msg);
-  sim::SubTask<RestoreDoneMsg> handle_restore(RestoreReqMsg msg);
+  // The one frame of DO_CHECKPOINT and DO_RESTORE (Req is CheckpointReqMsg
+  // or RestoreReqMsg): epoch gate, admission (checkpoints only), worker,
+  // trace span, session lookup and failure accounting around run_op().
+  template <typename Req>
+  sim::SubTask<OpDoneMsg> handle_op(Req msg);
+  // The op-specific legs, run on a held worker. Each sets done.epoch and
+  // returns the per-tensor payload CRCs of the version it committed or
+  // served (empty for phantom payloads); they throw to fail the op.
+  using TensorCrcs = std::vector<std::uint32_t>;
+  sim::SubTask<TensorCrcs> run_op(ModelSession& session, const CheckpointReqMsg& msg,
+                                  OpDoneMsg& done);
+  sim::SubTask<TensorCrcs> run_op(ModelSession& session, const RestoreReqMsg& msg,
+                                  OpDoneMsg& done);
 
-  void absorb_pipeline_stats(const PipelinedTransfer::Stats& s);
+  // Membership-epoch gate (protocol v6): the rejection text when a request
+  // stamped with `request_epoch` must bounce, nullopt when it may proceed.
+  std::optional<std::string> stale_epoch(std::uint64_t request_epoch);
+
+  // The datapath leg both ops share: plan the extents of one slot
+  // (`slot_mr`, at device offset `slot_offset`), map each onto a chunk and
+  // run them through one pipelined transfer. A restore WRITEs the slot out;
+  // a checkpoint READs into it, or copies a tensor outside a non-empty
+  // `dirty` set from the DONE slot at `prev_offset`. Returns the per-tensor
+  // CRCs a checkpoint of real payload collected; empty otherwise.
+  struct SlotTransfer {
+    bool restore = false;
+    const rdma::MemoryRegion* slot_mr = nullptr;
+    Bytes slot_offset = 0;
+    Bytes prev_offset = 0;
+    std::vector<bool> dirty;
+  };
+  sim::SubTask<TensorCrcs> transfer_slot(ModelSession& session, SlotTransfer leg);
 
   net::Cluster& cluster_;
   net::Node& node_;

@@ -10,8 +10,9 @@
 namespace portus::core {
 
 PipelinedTransfer::PipelinedTransfer(sim::Engine& engine, std::vector<rdma::QueuePair*> qps,
-                                     rdma::CompletionQueue& cq, Config config)
-    : engine_{engine}, qps_{std::move(qps)}, cq_{cq}, config_{config} {
+                                     rdma::CompletionQueue& cq, Config config,
+                                     DatapathStats& stats)
+    : engine_{engine}, qps_{std::move(qps)}, cq_{cq}, config_{config}, stats_{stats} {
   PORTUS_CHECK_ARG(config_.window >= 1, "pipeline window must be >= 1");
   for (const auto* qp : qps_) {
     PORTUS_CHECK_ARG(qp != nullptr, "null QP lane in pipelined transfer");
@@ -27,20 +28,16 @@ void PipelinedTransfer::bind_pmem(pmem::PmemDevice* device, sim::BandwidthChanne
 
 std::optional<sim::FlowLocality> PipelinedTransfer::chunk_locality(
     const TransferChunk& c) const {
-  if (device_ == nullptr || device_->numa_nodes() <= 1) return std::nullopt;
-  // Where do the bytes land on PMEM? Local copies write dst_offset; RDMA
-  // checkpoint chunks persist into persist_offset. Restore chunks read
-  // from PMEM and push to the client — their remote-read cost is second
-  // order next to the write path, so they stay untagged.
-  if (c.kind == TransferChunk::Kind::kLocalCopy) {
-    return sim::FlowLocality{.node = device_->node_of(c.dst_offset),
-                             .remote = device_->node_of(c.dst_offset) != home_node_};
+  // Where do the bytes land on PMEM? Local copies and RDMA checkpoint
+  // chunks write pmem_offset. Restore chunks read from PMEM and push to
+  // the client — their remote-read cost is second order next to the write
+  // path, so they stay untagged.
+  if (device_ == nullptr || device_->numa_nodes() <= 1 ||
+      (c.kind != TransferChunk::Kind::kLocalCopy && !c.persist_after)) {
+    return std::nullopt;
   }
-  if (c.persist_after) {
-    return sim::FlowLocality{.node = device_->node_of(c.persist_offset),
-                             .remote = device_->node_of(c.persist_offset) != home_node_};
-  }
-  return std::nullopt;
+  const auto node = device_->node_of(c.pmem_offset);
+  return sim::FlowLocality{.node = node, .remote = node != home_node_};
 }
 
 sim::Process PipelinedTransfer::charge_numa_tax(Bytes bytes, sim::FlowLocality loc) {
@@ -67,9 +64,9 @@ sim::Process PipelinedTransfer::run_local_copy(std::uint64_t wr_id, TransferChun
     if (loc.remote) co_await engine_.sleep(device_->perf().numa.remote_latency);
     co_await copy_channel_->transfer(chunk.len, copy_read_bw_, loc);
     if (!chunk.phantom) {
-      mem::copy_bytes(*device_, chunk.dst_offset, *device_, chunk.src_offset, chunk.len);
+      mem::copy_bytes(*device_, chunk.pmem_offset, *device_, chunk.src_offset, chunk.len);
     } else {
-      device_->mark_dirty(chunk.dst_offset, chunk.len);
+      device_->mark_dirty(chunk.pmem_offset, chunk.len);
     }
     cq_.deliver(rdma::WorkCompletion{.wr_id = wr_id,
                                      .opcode = rdma::WcOpcode::kLocalCopy,
@@ -87,14 +84,16 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
   Time last_change = start;
   int outstanding = 0;
   // Integrate the outstanding-chunk count over time so mean window
-  // occupancy falls out as integral / busy-time.
+  // occupancy falls out as integral / busy-time. This run's integral is
+  // summed on its own and added to the totals once, at the end, so it
+  // rounds the same whether or not other sessions' runs overlap it.
+  double occupancy = 0.0;
   auto account = [&](int delta) {
     const Time now = engine_.now();
-    stats_.occupancy_integral +=
-        static_cast<double>(outstanding) * to_seconds(now - last_change);
+    occupancy += static_cast<double>(outstanding) * to_seconds(now - last_change);
     last_change = now;
     outstanding += delta;
-    stats_.peak_outstanding = std::max(stats_.peak_outstanding, outstanding);
+    stats_.peak_window = std::max(stats_.peak_window, outstanding);
   };
 
   std::vector<int> lane_free(lanes, config_.window);
@@ -127,18 +126,17 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
       }
       return;
     }
-    if (c.collect_crc) {
+    if (!c.persist_after) return;
+    PORTUS_CHECK(device_ != nullptr, "persist_after chunk with no PMEM binding");
+    if (!c.phantom) {
       // CRC before the persist: same bytes either way (persist only changes
       // durability state), but the read models the inline checksum landing
       // while the line is still cache-hot.
-      PORTUS_CHECK(device_ != nullptr, "collect_crc chunk with no PMEM binding");
-      const Bytes at = c.kind == TransferChunk::Kind::kLocalCopy ? c.dst_offset
-                                                                 : c.persist_offset;
       if (c.members.empty()) {
         chunk_crcs_.push_back(ChunkCrc{.tensor_index = c.tensor_index,
                                        .tensor_offset = c.tensor_offset,
                                        .len = c.len,
-                                       .crc = device_->crc(at, c.len)});
+                                       .crc = device_->crc(c.pmem_offset, c.len)});
       } else {
         // Split the landed extent back into per-tensor CRC records: each
         // member is a whole tensor (offset 0), so its record IS its final
@@ -148,16 +146,12 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
           chunk_crcs_.push_back(ChunkCrc{.tensor_index = m.tensor_index,
                                          .tensor_offset = 0,
                                          .len = m.len,
-                                         .crc = device_->crc(at + off, m.len)});
+                                         .crc = device_->crc(c.pmem_offset + off, m.len)});
           off += m.len;
         }
       }
     }
-    if (c.persist_after) {
-      PORTUS_CHECK(device_ != nullptr, "persist_after chunk with no PMEM binding");
-      device_->persist(c.persist_offset, c.len);
-      stats_.bytes_persisted += c.len;
-    }
+    device_->persist(c.pmem_offset, c.len);
   };
 
   while (next < chunks.size() || !in_flight.empty()) {
@@ -177,11 +171,10 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
       stats_.queue_delay_max = std::max(stats_.queue_delay_max, stalled);
       head_since = engine_.now();
 
-      ++stats_.chunks;
-      stats_.bytes += c.len;
+      ++stats_.chunks_posted;
       if (c.members.size() > 1) ++stats_.extents_coalesced;
       const auto loc = chunk_locality(c);
-      if (loc.has_value() && loc->remote) ++stats_.remote_chunks;
+      if (loc.has_value() && loc->remote) ++stats_.numa_remote_chunks;
       if (c.kind == TransferChunk::Kind::kLocalCopy) {
         PORTUS_CHECK(device_ != nullptr && copy_channel_ != nullptr,
                      "local-copy chunk with no PMEM binding");
@@ -256,7 +249,8 @@ sim::SubTask<> PipelinedTransfer::run(std::vector<TransferChunk> chunks) {
     }
   }
   account(0);  // close the occupancy integral at the final timestamp
-  stats_.busy += engine_.now() - start;
+  stats_.window_chunk_seconds += occupancy;
+  stats_.pipeline_busy_seconds += to_seconds(engine_.now() - start);
   PORTUS_CHECK(failure.empty(), failure);
 }
 

@@ -59,21 +59,19 @@ struct TransferChunk {
   std::uint32_t rkey = 0;
   std::uint64_t remote_addr = 0;
 
-  // Local-copy chunks (kLocalCopy): PMEM device offsets.
-  Bytes dst_offset = 0;
+  // PMEM device offset where a checkpoint chunk lands: the slot bytes an
+  // RDMA READ fills, or a local copy's destination. Unused by restores.
+  Bytes pmem_offset = 0;
+  // Local-copy chunks (kLocalCopy): the PMEM device offset copied from.
   Bytes src_offset = 0;
-  bool phantom = false;  // move time but no bytes (phantom payloads)
+  // Payload simulated, not materialized: a local copy moves time but no
+  // bytes, and there is nothing to checksum.
+  bool phantom = false;
 
-  // When set, flush [persist_offset, persist_offset + len) as soon as this
-  // chunk's completion drains (checkpoint path only).
+  // When set (checkpoint path), the chunk's landed bytes are, as soon as its
+  // completion drains: CRC'd unless phantom, recorded under (tensor_index,
+  // tensor_offset) for tensor_crcs(), then flushed [pmem_offset, +len).
   bool persist_after = false;
-  Bytes persist_offset = 0;
-
-  // When set, CRC the landed bytes right after the chunk completes (before
-  // anything can overwrite them) and record it under (tensor_index,
-  // tensor_offset) for tensor_crcs(). Checkpoint integrity path only; never
-  // set on phantom chunks (their payload is simulated, not materialized).
-  bool collect_crc = false;
   Bytes tensor_offset = 0;  // byte offset of this chunk within its tensor
 
   // Coalesced extent: when non-empty, this chunk moves a dense run of
@@ -92,6 +90,58 @@ struct TransferChunk {
   std::vector<ExtentMember> members;
 };
 
+// Datapath counters. Every PipelinedTransfer run adds into the one struct
+// it was handed; the daemon hands its own Stats (which is-a DatapathStats),
+// so per-op counters land in the daemon totals with no copy step.
+struct DatapathStats {
+  std::uint64_t chunks_posted = 0;
+  std::uint64_t rdma_chunks = 0;
+  std::uint64_t local_chunks = 0;
+  std::uint64_t wrs_posted = 0;         // RDMA WRs (a gather extent = 1)
+  std::uint64_t sges_posted = 0;        // remote SGEs across those WRs
+  std::uint64_t extents_coalesced = 0;  // chunks that fused > 1 tensor
+  std::uint64_t doorbells = 0;          // post() calls (a chained batch = 1)
+  std::uint64_t admission_windows = 0;  // bursts that posted RDMA work
+  // Chunks whose PMEM landing zone sits on a different socket than the
+  // session's home node, and the supplemental DIMM-channel bytes charged to
+  // model the cross-socket (UPI + remote XPBuffer) cost. Multi-socket PMEM
+  // only; both stay 0 on flat topologies.
+  std::uint64_t numa_remote_chunks = 0;
+  Bytes numa_tax_bytes = 0;
+  Bytes rdma_bytes = 0;                 // payload bytes that crossed the NIC
+  int peak_window = 0;                  // max chunks in flight in any run
+  double window_chunk_seconds = 0.0;    // ∫ outstanding dt, all runs
+  double pipeline_busy_seconds = 0.0;   // datapath wall time, all runs
+  Duration queue_delay_total{0};        // head-of-line stalls, summed
+  Duration queue_delay_max{0};
+
+  double mean_window() const {
+    return pipeline_busy_seconds > 0.0 ? window_chunk_seconds / pipeline_busy_seconds
+                                       : 0.0;
+  }
+  Duration mean_queue_delay() const {
+    return chunks_posted > 0
+               ? Duration{queue_delay_total.count() /
+                          static_cast<Duration::rep>(chunks_posted)}
+               : Duration{0};
+  }
+  double bytes_per_wr() const {
+    return wrs_posted > 0 ? static_cast<double>(rdma_bytes) / static_cast<double>(wrs_posted)
+                          : 0.0;
+  }
+  // Mean doorbells rung per admission burst; with batching on this
+  // converges to the lane count (one chained post per lane per window).
+  double doorbells_per_window() const {
+    return admission_windows > 0
+               ? static_cast<double>(doorbells) / static_cast<double>(admission_windows)
+               : 0.0;
+  }
+  double wrs_per_doorbell() const {
+    return doorbells > 0 ? static_cast<double>(wrs_posted) / static_cast<double>(doorbells)
+                         : 0.0;
+  }
+};
+
 class PipelinedTransfer {
  public:
   struct Config {
@@ -103,53 +153,11 @@ class PipelinedTransfer {
     bool batch_doorbells = true;
   };
 
-  struct Stats {
-    std::uint64_t chunks = 0;
-    std::uint64_t rdma_chunks = 0;
-    std::uint64_t local_chunks = 0;
-    // --- coalescing observability ---
-    std::uint64_t wrs_posted = 0;        // RDMA work requests (a gather extent = 1)
-    std::uint64_t sges_posted = 0;       // remote SGEs across those WRs
-    std::uint64_t extents_coalesced = 0; // chunks that fused > 1 tensor
-    // --- doorbell batching observability ---
-    std::uint64_t doorbells = 0;         // post() calls (a chained batch = 1)
-    std::uint64_t admission_windows = 0; // admission bursts that posted RDMA work
-    // --- NUMA observability (multi-socket PMEM only) ---
-    // Chunks whose PMEM landing zone sits on a different socket than the
-    // session's home node, and the supplemental bytes charged to the DIMM
-    // channel to model the cross-socket (UPI + remote XPBuffer) cost.
-    std::uint64_t remote_chunks = 0;
-    Bytes numa_tax_bytes = 0;
-    Bytes rdma_bytes = 0;                // subset of `bytes` that crossed the NIC
-    Bytes bytes = 0;
-    Bytes bytes_persisted = 0;
-    int peak_outstanding = 0;         // max chunks in flight at once
-    double occupancy_integral = 0.0;  // ∫ outstanding dt, in chunk-seconds
-    Duration busy{0};                 // wall time of run()
-    Duration queue_delay_total{0};    // head-of-line stall, summed per chunk
-    Duration queue_delay_max{0};
-
-    double mean_outstanding() const {
-      const double b = to_seconds(busy);
-      return b > 0.0 ? occupancy_integral / b : 0.0;
-    }
-    double bytes_per_wr() const {
-      return wrs_posted > 0 ? static_cast<double>(rdma_bytes) / static_cast<double>(wrs_posted)
-                            : 0.0;
-    }
-    // Mean doorbells rung per admission burst; with batching on this
-    // converges to the lane count (one chained post per lane per window).
-    double doorbells_per_window() const {
-      return admission_windows > 0
-                 ? static_cast<double>(doorbells) / static_cast<double>(admission_windows)
-                 : 0.0;
-    }
-  };
-
   // All `qps` must deliver into `cq`. An empty QP list is allowed as long
-  // as run() only ever sees kLocalCopy chunks.
+  // as run() only ever sees kLocalCopy chunks. Every run() adds its
+  // counters into `stats`, which must outlive this transfer.
   PipelinedTransfer(sim::Engine& engine, std::vector<rdma::QueuePair*> qps,
-                    rdma::CompletionQueue& cq, Config config);
+                    rdma::CompletionQueue& cq, Config config, DatapathStats& stats);
 
   // Required before running kLocalCopy or persist_after chunks: the PMEM
   // device plus the DIMM channel/read-bandwidth cap that local copies
@@ -170,12 +178,12 @@ class PipelinedTransfer {
   // the first failed completion, after draining all outstanding work.
   sim::SubTask<> run(std::vector<TransferChunk> chunks);
 
-  const Stats& stats() const { return stats_; }
+  const DatapathStats& stats() const { return stats_; }
 
   // Fold the chunk CRCs collected by the last run() into one CRC32 per
   // tensor (CRC of the tensor's full payload, via Crc32::combine). Every
   // tensor in [0, tensor_count) must be completely covered by contiguous
-  // collect_crc chunks — a gap means the caller built an inconsistent work
+  // persisted, non-phantom chunks — a gap means the caller built an inconsistent work
   // list and is a programming error, not data corruption.
   std::vector<std::uint32_t> tensor_crcs(std::size_t tensor_count) const;
 
@@ -204,7 +212,7 @@ class PipelinedTransfer {
   Bandwidth copy_read_bw_ = Bandwidth::unlimited();
   std::uint32_t home_node_ = 0;
   std::uint64_t next_wr_id_ = 0xB1BE0000ull;
-  Stats stats_;
+  DatapathStats& stats_;
   std::vector<ChunkCrc> chunk_crcs_;
 };
 

@@ -63,8 +63,8 @@ Tenant* TenantRegistry::owner_of(const std::string& model_name) {
   return it == model_owner_.end() ? nullptr : find(it->second);
 }
 
-void TenantRegistry::charge(Tenant& tenant, const std::string& model_name, Bytes bytes) {
-  if (tenant.models.contains(model_name)) return;  // re-registration
+bool TenantRegistry::charge(Tenant& tenant, const std::string& model_name, Bytes bytes) {
+  if (tenant.models.contains(model_name)) return false;  // re-registration
   if (tenant.quota.capacity_bytes != 0 &&
       tenant.usage.charged_bytes + bytes > tenant.quota.capacity_bytes) {
     ++tenant.usage.quota_rejects;
@@ -77,6 +77,7 @@ void TenantRegistry::charge(Tenant& tenant, const std::string& model_name, Bytes
   ++tenant.usage.models;
   tenant.models.insert(model_name);
   model_owner_[model_name] = tenant.id;
+  return true;
 }
 
 void TenantRegistry::uncharge(const std::string& model_name, Bytes bytes) {

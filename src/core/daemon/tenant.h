@@ -113,11 +113,11 @@ class TenantRegistry {
   Tenant* owner_of(const std::string& model_name);
 
   // Capacity accounting. charge() bills `bytes` of PMEM for `model_name`
-  // at registration time (idempotent per model) and throws
-  // ResourceExhausted when the tenant would exceed its granted capacity.
-  // uncharge() returns the bytes when the repacker reclaims the model's
-  // slots (also idempotent).
-  void charge(Tenant& tenant, const std::string& model_name, Bytes bytes);
+  // at registration time (idempotent per model: true only when this call
+  // billed) and throws ResourceExhausted when the tenant would exceed its
+  // granted capacity. uncharge() returns the bytes when the repacker
+  // reclaims the model's slots or its registration fails (also idempotent).
+  bool charge(Tenant& tenant, const std::string& model_name, Bytes bytes);
   void uncharge(const std::string& model_name, Bytes bytes);
 
   std::vector<const Tenant*> tenants() const;  // sorted by id (render order)

@@ -197,9 +197,9 @@ CheckpointReqMsg decode_checkpoint_req(std::span<const std::byte> wire) {
   return m;
 }
 
-std::vector<std::byte> encode(const CheckpointDoneMsg& m) {
+std::vector<std::byte> encode(const OpDoneMsg& m) {
   BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kCheckpointDone));
+  w.u8(static_cast<std::uint8_t>(m.type));
   w.str(m.model_name);
   w.u64(m.epoch);
   put_status(w, m.ok, m.error);
@@ -211,9 +211,12 @@ std::vector<std::byte> encode(const CheckpointDoneMsg& m) {
   return w.take();
 }
 
-CheckpointDoneMsg decode_checkpoint_done(std::span<const std::byte> wire) {
-  auto r = body_reader(wire, MsgType::kCheckpointDone);
-  CheckpointDoneMsg m;
+OpDoneMsg decode_op_done(std::span<const std::byte> wire, MsgType expected) {
+  PORTUS_CHECK_ARG(expected == MsgType::kCheckpointDone || expected == MsgType::kRestoreDone,
+                   std::string{"not an op reply type: "} + to_string(expected));
+  auto r = body_reader(wire, expected);
+  OpDoneMsg m;
+  m.type = expected;
   m.model_name = r.str();
   m.epoch = r.u64();
   m.ok = r.u8() != 0;
@@ -241,35 +244,6 @@ RestoreReqMsg decode_restore_req(std::span<const std::byte> wire) {
   m.model_name = r.str();
   m.required_epoch = r.u64();
   m.membership_epoch = r.u64();
-  return m;
-}
-
-std::vector<std::byte> encode(const RestoreDoneMsg& m) {
-  BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kRestoreDone));
-  w.str(m.model_name);
-  w.u64(m.epoch);
-  put_status(w, m.ok, m.error);
-  w.u32(m.payload_crc);
-  w.u8(m.backpressure ? 1 : 0);
-  w.u64(m.retry_after_ns);
-  w.u8(m.epoch_mismatch ? 1 : 0);
-  w.u64(m.current_epoch);
-  return w.take();
-}
-
-RestoreDoneMsg decode_restore_done(std::span<const std::byte> wire) {
-  auto r = body_reader(wire, MsgType::kRestoreDone);
-  RestoreDoneMsg m;
-  m.model_name = r.str();
-  m.epoch = r.u64();
-  m.ok = r.u8() != 0;
-  m.error = r.str();
-  m.payload_crc = r.u32();
-  m.backpressure = r.u8() != 0;
-  m.retry_after_ns = r.u64();
-  m.epoch_mismatch = r.u8() != 0;
-  m.current_epoch = r.u64();
   return m;
 }
 

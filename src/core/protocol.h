@@ -33,7 +33,7 @@ namespace portus::core {
 // a stale client and daemon reject each other explicitly instead of
 // misparsing the body. Bump kProtocolVersion on any wire-layout change.
 inline constexpr std::uint32_t kProtocolMagic = 0x50545553;  // "PTUS"
-// v3: CheckpointDoneMsg / RestoreDoneMsg grew payload_crc.
+// v3: the checkpoint/restore Done replies (OpDoneMsg) grew payload_crc.
 // v4: registration + ack carry the negotiated multi-SGE gather capability
 //     (max_sges); a capability of 1 is the clean single-SGE fallback.
 // v5: tenant-quota negotiation — registration carries a tenant identity,
@@ -180,14 +180,18 @@ struct CheckpointReqMsg {
   std::uint64_t membership_epoch = 0;
 };
 
-struct CheckpointDoneMsg {
+// Completion notice of DO_CHECKPOINT (type kCheckpointDone) and DO_RESTORE
+// (type kRestoreDone). Both replies share this one layout; the leading
+// MsgType tag is the only difference on the wire.
+struct OpDoneMsg {
+  MsgType type = MsgType::kCheckpointDone;
   std::string model_name;
   std::uint64_t epoch = 0;
   bool ok = false;
   std::string error;
-  // CRC-of-per-tensor-CRCs over the payload the daemon persisted (matches
-  // dnn::Model::weights_crc()); 0 when !ok or for phantom models. Lets the
-  // client end-to-end verify that what landed on PMEM is what it sent.
+  // CRC-of-per-tensor-CRCs (matches dnn::Model::weights_crc()) of the
+  // payload persisted or served; 0 when !ok or for phantom models. A restore
+  // scrubs the slot against it before pushing a byte.
   std::uint32_t payload_crc = 0;
   // v5 admission control: ok=false with backpressure=true means the class
   // queue was full — retry after backing off at least retry_after_ns.
@@ -195,7 +199,7 @@ struct CheckpointDoneMsg {
   std::uint64_t retry_after_ns = 0;
   // v6 elasticity: ok=false with epoch_mismatch=true means the request's
   // membership epoch is stale; current_epoch is the daemon's. The client
-  // re-resolves placement and reissues (no checkpoint was taken).
+  // re-resolves placement and reissues (no op was run).
   bool epoch_mismatch = false;
   std::uint64_t current_epoch = 0;
 };
@@ -211,23 +215,6 @@ struct RestoreReqMsg {
   std::uint64_t membership_epoch = 0;
 };
 
-struct RestoreDoneMsg {
-  std::string model_name;
-  std::uint64_t epoch = 0;
-  bool ok = false;
-  std::string error;
-  // Aggregate payload CRC of the version served (see CheckpointDoneMsg);
-  // verified against the persisted payload-CRC block before any byte is
-  // pushed, so ok=true implies the tensors passed the integrity scrub.
-  std::uint32_t payload_crc = 0;
-  // v5 admission control (see CheckpointDoneMsg).
-  bool backpressure = false;
-  std::uint64_t retry_after_ns = 0;
-  // v6 elasticity (see CheckpointDoneMsg).
-  bool epoch_mismatch = false;
-  std::uint64_t current_epoch = 0;
-};
-
 struct FinishJobMsg {
   std::string model_name;
 };
@@ -240,17 +227,16 @@ MsgType decode_type(std::span<const std::byte> wire);
 std::vector<std::byte> encode(const RegisterModelMsg& m);
 std::vector<std::byte> encode(const RegisterAckMsg& m);
 std::vector<std::byte> encode(const CheckpointReqMsg& m);
-std::vector<std::byte> encode(const CheckpointDoneMsg& m);
+std::vector<std::byte> encode(const OpDoneMsg& m);
 std::vector<std::byte> encode(const RestoreReqMsg& m);
-std::vector<std::byte> encode(const RestoreDoneMsg& m);
 std::vector<std::byte> encode(const FinishJobMsg& m);
 
 RegisterModelMsg decode_register_model(std::span<const std::byte> wire);
 RegisterAckMsg decode_register_ack(std::span<const std::byte> wire);
 CheckpointReqMsg decode_checkpoint_req(std::span<const std::byte> wire);
-CheckpointDoneMsg decode_checkpoint_done(std::span<const std::byte> wire);
+// `expected` (kCheckpointDone or kRestoreDone) must be the wire's tag.
+OpDoneMsg decode_op_done(std::span<const std::byte> wire, MsgType expected);
 RestoreReqMsg decode_restore_req(std::span<const std::byte> wire);
-RestoreDoneMsg decode_restore_done(std::span<const std::byte> wire);
 FinishJobMsg decode_finish_job(std::span<const std::byte> wire);
 
 // --- QP rendezvous (simulation analogue of RDMA CM) -------------------------

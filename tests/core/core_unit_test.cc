@@ -2,8 +2,12 @@
 // allocator, ModelTable, MIndex, checkpoint transactions.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string_view>
 #include <thread>
+#include <utility>
 
+#include "common/strformat.h"
 #include "core/daemon/allocator.h"
 #include "core/daemon/mindex.h"
 #include "core/daemon/model_table.h"
@@ -56,20 +60,64 @@ TEST(ProtocolTest, AllControlMessagesRoundTrip) {
     EXPECT_EQ(b.iteration, 7u);
   }
   {
-    const auto w = encode(CheckpointDoneMsg{.model_name = "m", .epoch = 3, .ok = true});
-    const auto b = decode_checkpoint_done(w);
+    const auto w = encode(OpDoneMsg{.model_name = "m", .epoch = 3, .ok = true});
+    const auto b = decode_op_done(w, MsgType::kCheckpointDone);
+    EXPECT_EQ(b.type, MsgType::kCheckpointDone);
     EXPECT_TRUE(b.ok);
     EXPECT_EQ(b.epoch, 3u);
   }
   {
-    const auto w = encode(RestoreDoneMsg{.model_name = "m", .ok = false, .error = "nope"});
-    const auto b = decode_restore_done(w);
+    const auto w = encode(
+        OpDoneMsg{.type = MsgType::kRestoreDone, .model_name = "m", .ok = false, .error = "nope"});
+    const auto b = decode_op_done(w, MsgType::kRestoreDone);
+    EXPECT_EQ(b.type, MsgType::kRestoreDone);
     EXPECT_FALSE(b.ok);
     EXPECT_EQ(b.error, "nope");
+    // The tag still tells the two replies apart.
+    EXPECT_THROW(decode_op_done(w, MsgType::kCheckpointDone), Corruption);
   }
   {
     const auto w = encode(FinishJobMsg{.model_name = "gpt"});
     EXPECT_EQ(decode_finish_job(w).model_name, "gpt");
+  }
+}
+
+// Wire-layout golden: checkpoint and restore replies share OpDoneMsg, and
+// each tag must encode to exactly these v6 bytes, the layout peers of the
+// same protocol version read. The TCP model charges message.size(), so a
+// layout change would also move virtual time.
+TEST(ProtocolTest, OpDoneWireBytesMatchGolden) {
+  constexpr std::string_view kBody =
+      "080000007265736e657435300807060504030201000a00000071756575652066756c6c"
+      "efbeadde0180841e0000000000010700000000000000";
+  OpDoneMsg m{.model_name = "resnet50",
+              .epoch = 0x0102030405060708ull,
+              .ok = false,
+              .error = "queue full",
+              .payload_crc = 0xDEADBEEF,
+              .backpressure = true,
+              .retry_after_ns = 2'000'000,
+              .epoch_mismatch = true,
+              .current_epoch = 7};
+  const auto hex = [](const std::vector<std::byte>& w) {
+    std::string out;
+    for (const auto b : w) out += strf("{:02x}", static_cast<unsigned>(b));
+    return out;
+  };
+  for (const auto& [type, tag] : {std::pair{MsgType::kCheckpointDone, "04"},
+                                 std::pair{MsgType::kRestoreDone, "06"}}) {
+    m.type = type;
+    const auto wire = encode(m);
+    EXPECT_EQ(hex(wire), std::string{tag} + std::string{kBody}) << to_string(type);
+    const auto back = decode_op_done(wire, type);
+    EXPECT_EQ(back.type, type);
+    EXPECT_EQ(back.model_name, m.model_name);
+    EXPECT_EQ(back.epoch, m.epoch);
+    EXPECT_EQ(back.error, m.error);
+    EXPECT_EQ(back.payload_crc, m.payload_crc);
+    EXPECT_EQ(back.retry_after_ns, m.retry_after_ns);
+    EXPECT_TRUE(back.backpressure && back.epoch_mismatch);
+    EXPECT_EQ(back.current_epoch, 7u);
   }
 }
 
@@ -184,6 +232,43 @@ TEST(AllocatorTest, ConcurrentAllocationNeverDoubleAllocates) {
   EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
       << "two threads received the same extent";
   EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kAllocsPerThread));
+}
+
+TEST(AllocatorTest, UnhomedAllocationsLandOnShardZero) {
+  // Placement must not depend on thread identity: with no ScopedHome hint,
+  // plain alloc() goes to shard 0 from every thread. All eight threads are
+  // alive at once (each waits for the others before allocating), so their
+  // ids are distinct; a hash of the id would spread them over the shards.
+  pmem::PmemDevice device{"pmem", 64_MiB, 0x1000};
+  PmemAllocator alloc{device, PmemAllocator::Config{.table_offset = 4_KiB,
+                                                    .table_capacity = 512,
+                                                    .data_offset = 1_MiB,
+                                                    .data_end = 64_MiB,
+                                                    .shards = 4}};
+  constexpr int kThreads = 8;
+  std::atomic<int> arrived{0};
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) std::this_thread::yield();
+        alloc.alloc(4096);
+      });
+    }
+  }
+  const auto stats = alloc.shard_stats();
+  ASSERT_EQ(stats.size(), 4u);
+  EXPECT_EQ(stats[0].allocs, static_cast<std::uint64_t>(kThreads));
+  for (std::size_t s = 1; s < stats.size(); ++s) EXPECT_EQ(stats[s].allocs, 0u) << s;
+
+  // A ScopedHome still routes this thread's allocations to its shard.
+  {
+    const PmemAllocator::ScopedHome home{2};
+    alloc.alloc(4096);
+  }
+  EXPECT_EQ(alloc.shard_stats()[2].allocs, 1u);
 }
 
 // --- NUMA partitions, size classes, adaptive refill --------------------------

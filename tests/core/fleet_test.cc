@@ -237,12 +237,12 @@ TEST(FleetProtocolTest, V5TenantFieldsRoundtrip) {
   EXPECT_EQ(dack.granted_rate, 100_MB);
   EXPECT_EQ(dack.granted_wr_slots, 3u);
 
-  CheckpointDoneMsg done;
+  OpDoneMsg done;
   done.model_name = "gpt";
   done.ok = false;
   done.backpressure = true;
   done.retry_after_ns = 2'000'000;
-  const auto ddone = decode_checkpoint_done(encode(done));
+  const auto ddone = decode_op_done(encode(done), MsgType::kCheckpointDone);
   EXPECT_FALSE(ddone.ok);
   EXPECT_TRUE(ddone.backpressure);
   EXPECT_EQ(ddone.retry_after_ns, 2'000'000u);
@@ -330,6 +330,70 @@ TEST(FleetTest, BackpressureRetriesToSuccess) {
   ASSERT_NE(r.daemon->tenants(), nullptr);
   EXPECT_EQ(r.daemon->tenants()->size(), static_cast<std::size_t>(kClients));
   EXPECT_EQ(clients[0]->stats().granted_wr_slots, 1u);
+}
+
+// --- a refused registration hands its capacity charge back --------------------
+
+TEST(FleetTest, RefusedRegistrationRefundsTenantCharge) {
+  // A tenanted daemon on a devdax namespace too small for one of the
+  // models. Registration charges the tenant before layout; when the heap
+  // then refuses the layout, the charge must be refunded, or the quota
+  // stays held for a model that does not exist (and that the repacker,
+  // which only walks the ModelTable, can never free).
+  sim::Engine eng;
+  auto cluster = net::Cluster::Builder{}
+                     .add_node({.name = "client", .gpu_count = 1})
+                     .add_node({.name = "server", .pmem_devdax = 8_MiB})
+                     .build(eng);
+  QpRendezvous rendezvous;
+  PortusDaemon daemon{*cluster, cluster->node("server"), rendezvous,
+                      TenancyRig::tenancy_config()};
+  daemon.start();
+  auto& node = cluster->node("client");
+
+  // 1 MiB fits (2 MiB charged for its two slots); 16 MiB does not fit the
+  // 7 MiB heap; the reshaped model re-registers the fitting one's name with
+  // a different structure, which is refused after the (skipped) charge.
+  dnn::Model fits{"fits", node.gpu(0)};
+  fits.add_tensor(dnn::TensorMeta{.name = "w", .shape = {1 << 18}}, /*phantom=*/true);
+  dnn::Model huge{"huge", node.gpu(0)};
+  huge.add_tensor(dnn::TensorMeta{.name = "w", .shape = {4 << 20}}, /*phantom=*/true);
+  dnn::Model reshaped{"fits", node.gpu(0)};
+  reshaped.add_tensor(dnn::TensorMeta{.name = "a", .shape = {1 << 10}}, /*phantom=*/true);
+  reshaped.add_tensor(dnn::TensorMeta{.name = "b", .shape = {1 << 10}}, /*phantom=*/true);
+  PortusClient client{*cluster, node, node.gpu(0), rendezvous};
+  client.set_tenant(PortusClient::TenantSpec{.id = "t"});
+
+  std::vector<std::string> refusals;
+  auto proc = eng.spawn([](PortusClient& c, dnn::Model& fits, dnn::Model& huge,
+                           dnn::Model& reshaped,
+                           std::vector<std::string>& out) -> sim::Process {
+    co_await c.connect();
+    co_await c.register_model(fits);
+    for (dnn::Model* m : {&huge, &reshaped}) {
+      try {
+        co_await c.register_model(*m);
+      } catch (const Error& e) {
+        out.push_back(e.what());
+      }
+    }
+  }(client, fits, huge, reshaped, refusals));
+  eng.run();
+  proc.check();
+
+  ASSERT_EQ(refusals.size(), 2u);
+  EXPECT_EQ(daemon.stats().failed_ops, 2u);
+  ASSERT_NE(daemon.tenants(), nullptr);
+  const Tenant* t = daemon.tenants()->find("t");
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->usage.charged_bytes, 2 * fits.total_bytes())
+      << "a refused registration kept its charge";
+  EXPECT_EQ(t->usage.models, 1u);
+  EXPECT_EQ(daemon.tenants()->owner_of("fits"), t)
+      << "a refused re-registration must keep the existing model's charge";
+  EXPECT_EQ(daemon.tenants()->owner_of("huge"), nullptr);
+  EXPECT_FALSE(daemon.model_table().lookup("huge").has_value());
+  eng.shutdown();
 }
 
 // --- online repack under live admitted traffic --------------------------------

@@ -155,13 +155,12 @@ Duration run_serial_pulls(WireRig& rig) {
   return rig.eng.now();
 }
 
-Duration run_pipelined_pulls(WireRig& rig, int window, PipelinedTransfer::Stats* out) {
-  rig.eng.spawn([](WireRig& r, int w, PipelinedTransfer::Stats* stats) -> sim::Process {
+Duration run_pipelined_pulls(WireRig& rig, int window, DatapathStats& out) {
+  rig.eng.spawn([](WireRig& r, int w, DatapathStats& stats) -> sim::Process {
     PipelinedTransfer pipe{r.eng, r.server_qps, r.server_cq,
-                           PipelinedTransfer::Config{.window = w}};
+                           PipelinedTransfer::Config{.window = w}, stats};
     auto chunks = r.pull_chunks();
     co_await pipe.run(std::move(chunks));
-    if (stats != nullptr) *stats = pipe.stats();
   }(rig, window, out));
   rig.eng.run();
   return rig.eng.now();
@@ -173,14 +172,14 @@ TEST(PipelineTest, WindowOneMatchesSerialPathExactly) {
   serial_rig.expect_bytes_arrived();
 
   WireRig pipe_rig{1, 1};
-  PipelinedTransfer::Stats stats;
-  const Duration pipelined = run_pipelined_pulls(pipe_rig, 1, &stats);
+  DatapathStats stats;
+  const Duration pipelined = run_pipelined_pulls(pipe_rig, 1, stats);
   pipe_rig.expect_bytes_arrived();
 
   EXPECT_EQ(serial.count(), pipelined.count())
       << "window=1 must reproduce the serial datapath timing bit-for-bit";
-  EXPECT_EQ(stats.chunks, pipe_rig.sizes.size());
-  EXPECT_EQ(stats.peak_outstanding, 1);
+  EXPECT_EQ(stats.chunks_posted, pipe_rig.sizes.size());
+  EXPECT_EQ(stats.peak_window, 1);
 }
 
 TEST(PipelineTest, WindowedStripedPullsOverlapAndStayByteIdentical) {
@@ -188,23 +187,24 @@ TEST(PipelineTest, WindowedStripedPullsOverlapAndStayByteIdentical) {
   const Duration serial = run_serial_pulls(serial_rig);
 
   WireRig pipe_rig{2, 8};
-  PipelinedTransfer::Stats stats;
-  const Duration pipelined = run_pipelined_pulls(pipe_rig, 8, &stats);
+  DatapathStats stats;
+  const Duration pipelined = run_pipelined_pulls(pipe_rig, 8, stats);
   pipe_rig.expect_bytes_arrived();
 
   EXPECT_LT(pipelined.count(), serial.count())
       << "a deep window over two stripes must beat the serial path";
-  EXPECT_GT(stats.peak_outstanding, 1);
-  EXPECT_LE(stats.peak_outstanding, 2 * 8);
-  EXPECT_GT(stats.mean_outstanding(), 1.0);
+  EXPECT_GT(stats.peak_window, 1);
+  EXPECT_LE(stats.peak_window, 2 * 8);
+  EXPECT_GT(stats.mean_window(), 1.0);
 }
 
 TEST(PipelineTest, FailedChunkDrainsWindowThenThrows) {
   WireRig rig{1, 4};
   bool threw = false;
   rig.eng.spawn([](WireRig& r, bool& out) -> sim::Process {
+    DatapathStats stats;
     PipelinedTransfer pipe{r.eng, r.server_qps, r.server_cq,
-                           PipelinedTransfer::Config{.window = 4}};
+                           PipelinedTransfer::Config{.window = 4}, stats};
     auto chunks = r.pull_chunks();
     chunks[2].rkey = 0xDEAD;  // poison one chunk mid-list
     try {

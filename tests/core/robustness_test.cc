@@ -82,9 +82,9 @@ TEST(RobustnessTest, ProtocolDecodersNeverCrashOnGarbage) {
     probe([](auto b) { return decode_register_model(b); });
     probe([](auto b) { return decode_register_ack(b); });
     probe([](auto b) { return decode_checkpoint_req(b); });
-    probe([](auto b) { return decode_checkpoint_done(b); });
+    probe([](auto b) { return decode_op_done(b, MsgType::kCheckpointDone); });
     probe([](auto b) { return decode_restore_req(b); });
-    probe([](auto b) { return decode_restore_done(b); });
+    probe([](auto b) { return decode_op_done(b, MsgType::kRestoreDone); });
     probe([](auto b) { return decode_finish_job(b); });
     probe([](auto b) { return cluster::ShardManifest::decode(b); });
   }
