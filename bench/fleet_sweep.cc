@@ -77,7 +77,7 @@ struct FleetRig {
 
 struct Row {
   int tenants = 0;
-  core::fleet::FleetReport rep;
+  core::fleet::FleetReport rep{};
   // Daemon-side aggregates across the pool.
   std::uint64_t daemon_backpressure = 0;
   std::uint64_t admitted = 0;

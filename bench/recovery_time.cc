@@ -14,9 +14,10 @@
 //                 proportional — the price of a full integrity audit, paid
 //                 only on demand, never on the restart path.
 //
-// Emits BENCH_recovery.json. Fails (exit 1) if a recover() ever costs more
-// than a generous 250 ms bound (it must stay metadata-cheap even at 48
-// models) or if fsck misses that the store is clean.
+// Emits BENCH_recovery.json; the host-clock columns print to stderr, so
+// stdout is identical across runs. Fails (exit 1) if a recover() ever
+// costs more than a generous 250 ms bound (it must stay metadata-cheap
+// even at 48 models) or if fsck misses that the store is clean.
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -100,11 +101,14 @@ int main() {
   std::vector<Row> rows;
   for (const int n : {4, 16, 48}) rows.push_back(measure(n));
 
-  std::cout << strf("{:>8}{:>12}{:>14}{:>12}\n", "models", "image", "recover",
-                    "fsck");
+  // Host wall-clock times differ run to run, so they go to stderr (and the
+  // JSON); stdout keeps only what a rerun reproduces byte for byte.
+  std::cout << strf("{:>8}{:>12}\n", "models", "image");
+  std::cerr << strf("{:>8}{:>14}{:>12}\n", "models", "recover", "fsck");
   for (const auto& row : rows) {
-    std::cout << strf("{:>8}{:>12}{:>13.2f}m{:>11.2f}m\n", row.models,
-                      format_bytes(row.image_bytes), row.recover_ms, row.fsck_ms);
+    std::cout << strf("{:>8}{:>12}\n", row.models, format_bytes(row.image_bytes));
+    std::cerr << strf("{:>8}{:>13.2f}m{:>11.2f}m\n", row.models, row.recover_ms,
+                      row.fsck_ms);
   }
 
   const auto json_path = bench::results_path("BENCH_recovery.json");

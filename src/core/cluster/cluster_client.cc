@@ -30,17 +30,22 @@ std::string ClusterClient::copy_key(const std::string& endpoint,
   return strf("{}|{}", endpoint, shard);
 }
 
+std::unique_ptr<PortusClient> ClusterClient::make_lane_client(const std::string& endpoint) {
+  auto client = std::make_unique<PortusClient>(cluster_, node_, gpu_, rendezvous_, endpoint,
+                                               config_.stripes);
+  client->set_op_timeout(config_.op_timeout);
+  client->set_tenant(config_.tenant);
+  client->set_retry_policy(config_.retry);
+  return client;
+}
+
 ClusterClient::Lane& ClusterClient::lane_for(const std::string& endpoint) {
   if (const auto it = lane_by_endpoint_.find(endpoint); it != lane_by_endpoint_.end()) {
     return *lanes_[it->second];
   }
   auto lane = std::make_unique<Lane>();
   lane->endpoint = endpoint;
-  lane->client = std::make_unique<PortusClient>(cluster_, node_, gpu_, rendezvous_,
-                                                endpoint, config_.stripes);
-  lane->client->set_op_timeout(config_.op_timeout);
-  lane->client->set_tenant(config_.tenant);
-  lane->client->set_retry_policy(config_.retry);
+  lane->client = make_lane_client(endpoint);
   lane_by_endpoint_.emplace(endpoint, lanes_.size());
   lanes_.push_back(std::move(lane));
   return *lanes_.back();
@@ -158,11 +163,7 @@ sim::SubTask<> ClusterClient::resolve_placement() {
         const auto pos = ring[r];
         Lane& lane = lane_for(ring_endpoints_[pos]);
         if (!lane.up) {
-          lane.client = std::make_unique<PortusClient>(cluster_, node_, gpu_, rendezvous_,
-                                                       lane.endpoint, config_.stripes);
-          lane.client->set_op_timeout(config_.op_timeout);
-          lane.client->set_tenant(config_.tenant);
-          lane.client->set_retry_policy(config_.retry);
+          lane.client = make_lane_client(lane.endpoint);
           lane.up = true;
           ++stats_.lane_revivals;
           PLOG_INFO(kLog, "lane {} revived by re-resolve", lane.endpoint);
@@ -312,20 +313,26 @@ sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint_round(
   co_return CheckpointResult{.epoch = round_max, .degraded = any_miss};
 }
 
-sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint(
-    std::uint64_t iteration) {
-  PORTUS_CHECK(registered_, "register_model before checkpoint");
+template <typename Result, typename Round>
+sim::SubTask<Result> ClusterClient::settle(const char* op, Round round) {
+  PORTUS_CHECK(registered_, strf("register_model before {}", op));
   for (int attempt = 0;; ++attempt) {
     bool stale = false;
-    const CheckpointResult result = co_await checkpoint_round(iteration, &stale);
+    const Result result = co_await round(&stale);
     if (!stale) co_return result;
     PORTUS_CHECK(attempt < config_.max_epoch_retries,
-                 strf("checkpoint of {} cannot settle: membership kept moving",
-                      model_name_));
+                 strf("{} of {} cannot settle: membership kept moving", op, model_name_));
     ++stats_.epoch_reresolutions;
     co_await epoch_backoff(attempt);
     co_await resolve_placement();
   }
+}
+
+sim::SubTask<ClusterClient::CheckpointResult> ClusterClient::checkpoint(
+    std::uint64_t iteration) {
+  return settle<CheckpointResult>("checkpoint", [this, iteration](bool* stale) {
+    return checkpoint_round(iteration, stale);
+  });
 }
 
 sim::Process ClusterClient::lane_restore(Lane& lane, std::vector<RestoreJob*> jobs,
@@ -438,17 +445,8 @@ sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore_round(bool* st
 }
 
 sim::SubTask<ClusterClient::RestoreResult> ClusterClient::restore() {
-  PORTUS_CHECK(registered_, "register_model before restore");
-  for (int attempt = 0;; ++attempt) {
-    bool stale = false;
-    const RestoreResult result = co_await restore_round(&stale);
-    if (!stale) co_return result;
-    PORTUS_CHECK(attempt < config_.max_epoch_retries,
-                 strf("restore of {} cannot settle: membership kept moving", model_name_));
-    ++stats_.epoch_reresolutions;
-    co_await epoch_backoff(attempt);
-    co_await resolve_placement();
-  }
+  return settle<RestoreResult>("restore",
+                               [this](bool* stale) { return restore_round(stale); });
 }
 
 }  // namespace portus::core::cluster

@@ -175,6 +175,9 @@ class ClusterClient {
 
   sim::SubTask<CheckpointResult> checkpoint_round(std::uint64_t iteration, bool* stale);
   sim::SubTask<RestoreResult> restore_round(bool* stale);
+  // The ops' epoch-retry loop: rerun `round(&stale)` until no resize voids it.
+  template <typename Result, typename Round>
+  sim::SubTask<Result> settle(const char* op, Round round);
 
   // Snapshot the membership, recompute plan/manifest/copies, revive lanes,
   // and register unregistered copies (its own EpochMismatch retry loop —
@@ -182,6 +185,8 @@ class ClusterClient {
   sim::SubTask<> resolve_placement();
 
   Lane& lane_for(const std::string& endpoint);
+  // A fresh lane client (new lanes and revived ones) under config_.
+  std::unique_ptr<PortusClient> make_lane_client(const std::string& endpoint);
   void mark_lane_down(Lane& lane);
   sim::SubTask<> epoch_backoff(int attempt);
   std::string copy_key(const std::string& endpoint, std::uint32_t shard) const;

@@ -1,6 +1,5 @@
 #include "core/cluster/cluster_ctl.h"
 
-#include <optional>
 #include <set>
 
 #include "common/strformat.h"
@@ -14,13 +13,9 @@ ClusterCtl::DaemonRow ClusterCtl::inspect(PortusDaemon& daemon) {
 
   std::set<std::string> models;
   for (const auto& name : daemon.model_table().names()) {
-    const MIndex* live = daemon.find_live_index(name);
-    std::optional<MIndex> loaded;
-    if (live == nullptr) loaded.emplace(daemon.load_index(name));
-    const MIndex& index = live != nullptr ? *live : *loaded;
-
-    if (index.sharded()) ++row.shard_copies;
-    row.stored_bytes += index.slot_size();
+    auto index = daemon.index(name);
+    if (index->sharded()) ++row.shard_copies;
+    row.stored_bytes += index->slot_size();
     // Strip the "#s<k>" suffix of shard-scoped keys to count models once.
     const auto hash = name.rfind("#s");
     models.insert(hash == std::string::npos ? name : name.substr(0, hash));

@@ -6,6 +6,7 @@
 #include "common/strformat.h"
 #include "core/cluster/manifest.h"
 #include "core/cluster/placement.h"
+#include "core/daemon/slots.h"
 #include "mem/segment.h"
 
 namespace portus::core::cluster {
@@ -40,32 +41,29 @@ PortusDaemon* ElasticCluster::daemon(const std::string& endpoint) const {
   return it != daemons_.end() ? it->second : nullptr;
 }
 
-void ElasticCluster::push_epoch() {
-  for (const auto& m : membership_.members) {
-    if (m.state == MemberState::kDown) continue;
-    auto* d = daemon(m.endpoint);
-    if (d == nullptr || d->killed()) continue;
-    d->set_membership_epoch(membership_.epoch);
+std::vector<PortusDaemon*> ElasticCluster::serving(const Membership& m) const {
+  std::vector<PortusDaemon*> out;
+  for (const auto& member : m.members) {
+    auto* d = member.state != MemberState::kDown ? daemon(member.endpoint) : nullptr;
+    if (d != nullptr && !d->killed()) out.push_back(d);
   }
+  return out;
+}
+
+void ElasticCluster::push_epoch() {
+  for (auto* d : serving(membership_)) d->set_membership_epoch(membership_.epoch);
 }
 
 std::optional<std::uint64_t> ElasticCluster::done_epoch(PortusDaemon& d,
                                                         const std::string& key) {
+  if (!d.model_table().lookup(key).has_value()) return std::nullopt;
   try {
-    if (MIndex* live = d.find_live_index(key); live != nullptr) {
-      const auto slot = live->latest_done_slot();
-      if (!slot.has_value()) return std::nullopt;
-      return live->slot(*slot).epoch;
-    }
-    const auto offset = d.model_table().lookup(key);
-    if (!offset.has_value()) return std::nullopt;
-    const MIndex idx = MIndex::load(d.device(), *offset);
-    const auto slot = idx.latest_done_slot();
-    if (!slot.has_value()) return std::nullopt;
-    return idx.slot(*slot).epoch;
+    auto idx = d.index(key);
+    if (const auto slot = idx->latest_done_slot()) return idx->slot(*slot).epoch;
   } catch (const std::exception&) {
-    return std::nullopt;  // torn record: nothing usable here
+    // torn record: nothing usable here
   }
+  return std::nullopt;
 }
 
 sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon& dst,
@@ -74,65 +72,47 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
   // Source: the newest DONE version, read-only throughout. The source image
   // is never mutated by a migration, so whatever was acked there stays
   // recoverable no matter where the destination crashes.
-  MIndex* sidx = src.find_live_index(key);
-  std::optional<MIndex> sheld;
-  if (sidx == nullptr) {
-    const auto offset = src.model_table().lookup(key);
-    if (!offset.has_value()) co_return 0;
-    sheld.emplace(MIndex::load(src.device(), *offset));
-    sidx = &*sheld;
-  }
+  if (!src.model_table().lookup(key).has_value()) co_return 0;
+  auto sidx = src.index(key);
   const auto sslot_idx = sidx->latest_done_slot();
   if (!sslot_idx.has_value()) co_return 0;
   const SlotHeader sslot = sidx->slot(*sslot_idx);
   if (sslot.data_offset == 0) co_return 0;
 
-  // Non-phantom payloads only move with a valid matching CRC block — a
-  // stale or torn block means this version cannot be certified end-to-end.
-  std::optional<MIndex::PayloadCrcs> crcs;
-  if (!sidx->phantom()) {
-    crcs = sidx->payload_crcs(*sslot_idx);
-    if (!crcs.has_value() || crcs->epoch != sslot.epoch) co_return 0;
-  }
+  // Only a version with a valid, epoch-matching CRC block moves; the block
+  // travels with the bytes and certifies the destination copy below.
+  auto proof = verify_slot(*sidx, *sslot_idx, /*scrub_bytes=*/false);
+  if (!proof.ok()) co_return 0;
 
-  // Destination MIndex: reuse the live session's (a client is registered
-  // there right now — two DRAM mirrors of one record would fight), else
-  // load the persistent record, else create one from the source's layout.
-  MIndex* didx = dst.find_live_index(key);
-  std::optional<MIndex> dheld;
-  if (didx == nullptr) {
-    if (const auto offset = dst.model_table().lookup(key); offset.has_value()) {
-      dheld.emplace(MIndex::load(dst.device(), *offset));
-    } else {
-      RegisterModelMsg reg;
-      reg.model_name = key;
-      reg.phantom = sidx->phantom();
-      reg.shard_id = sidx->shard_id();
-      reg.shard_count = sidx->shard_count();
-      reg.replica = replica;
-      reg.replica_count = sidx->replica_count();
-      reg.placement_epoch = sidx->placement_epoch();
-      reg.manifest = sidx->manifest();
-      for (const auto& t : sidx->tensors()) {
-        reg.tensors.push_back(TensorDesc{
-            .name = t.name, .dtype = t.dtype, .shape = t.shape, .size = t.size});
-      }
-      dheld.emplace(MIndex::create(dst.device(), dst.allocator(), reg,
-                                   dst.config().coalesce_threshold));
-      dst.model_table().insert(key, dheld->record_offset());
+  // Destination: a copy dst has never held gets a record with the source's
+  // layout and shard identity first; then the index accessor serves it.
+  if (!dst.model_table().lookup(key).has_value()) {
+    RegisterModelMsg reg;
+    reg.model_name = key;
+    reg.phantom = sidx->phantom();
+    reg.shard_id = sidx->shard_id();
+    reg.shard_count = sidx->shard_count();
+    reg.replica = replica;
+    reg.replica_count = sidx->replica_count();
+    reg.placement_epoch = sidx->placement_epoch();
+    reg.manifest = sidx->manifest();
+    for (const auto& t : sidx->tensors()) {
+      reg.tensors.push_back(
+          TensorDesc{.name = t.name, .dtype = t.dtype, .shape = t.shape, .size = t.size});
     }
-    didx = &*dheld;
+    const auto created =
+        MIndex::create(dst.device(), dst.allocator(), reg, dst.config().coalesce_threshold);
+    dst.model_table().insert(key, created.record_offset());
   }
+  auto didx = dst.index(key);
   if (didx->tensors().size() != sidx->tensors().size()) co_return 0;
 
   // Stream into the write slot under the checkpoint persist discipline:
   // ACTIVE -> chunked data persists -> payload-CRC block -> DONE at the
-  // SOURCE epoch (set_slot bypasses CheckpointTxn on purpose: the epoch is
-  // carried, not minted).
-  const int w = didx->pick_write_slot();
-  didx->ensure_slot(w, dst.allocator());
-  didx->set_slot(w, SlotState::kActive, 0);
-  const Bytes dbase = didx->slot(w).data_offset;
+  // SOURCE epoch (the epoch is carried, not minted).
+  didx->ensure_slot(didx->pick_write_slot(), dst.allocator());
+  auto txn = CheckpointTxn::begin(*didx, sslot.epoch);
+  const Bytes dbase = txn.data_offset();
 
   Bytes streamed = 0;
   for (std::size_t i = 0; i < sidx->tensors().size(); ++i) {
@@ -150,8 +130,16 @@ sim::SubTask<Bytes> ElasticCluster::migrate_copy(PortusDaemon& src, PortusDaemon
     }
   }
 
-  if (crcs.has_value()) didx->set_payload_crcs(w, sslot.epoch, crcs->crcs);
-  didx->set_slot(w, SlotState::kDone, sslot.epoch);
+  // The copy is committed only if its bytes match the block it carries: a
+  // source tensor that rotted after its own commit must not land DONE here
+  // under that block. The abandoned slot stays ACTIVE, as after a crash.
+  scrub(*didx, txn.slot(), proof);
+  if (!proof.ok()) {
+    PLOG_INFO(kLog, "migration of {} epoch {} abandoned: {}", key, sslot.epoch,
+              proof.failure(*didx, txn.slot()));
+    co_return 0;
+  }
+  txn.commit(proof.crcs);
   if (src.model_table().is_finished(key)) dst.model_table().set_finished(key);
 
   PLOG_DEBUG(kLog, "migrated {} epoch {}: {} -> {} ({} B)", key, sslot.epoch,
@@ -170,21 +158,13 @@ sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) 
     std::uint64_t placement_epoch = 0;
   };
   std::map<std::string, ModelInfo> models;
-  for (const auto& member : m.members) {
-    if (member.state == MemberState::kDown) continue;
-    auto* d = daemon(member.endpoint);
-    if (d == nullptr || d->killed()) continue;
+  for (auto* d : serving(m)) {
     for (const auto& key : d->model_table().names()) {
       const auto cut = key.find("#s");
       if (cut == std::string::npos) continue;
       if (models.count(key.substr(0, cut)) != 0) continue;
       try {
-        MIndex* idx = d->find_live_index(key);
-        std::optional<MIndex> held;
-        if (idx == nullptr) {
-          held.emplace(MIndex::load(d->device(), *d->model_table().lookup(key)));
-          idx = &*held;
-        }
+        auto idx = d->index(key);
         if (idx->manifest().empty()) continue;
         const auto mf = ShardManifest::decode(idx->manifest());
         ModelInfo info;
@@ -215,10 +195,7 @@ sim::SubTask<std::uint64_t> ElasticCluster::stream_to_plan(const Membership& m) 
       // shard (DRAINING members still serve as sources).
       PortusDaemon* src = nullptr;
       std::uint64_t src_epoch = 0;
-      for (const auto& member : m.members) {
-        if (member.state == MemberState::kDown) continue;
-        auto* d = daemon(member.endpoint);
-        if (d == nullptr || d->killed()) continue;
+      for (auto* d : serving(m)) {  // re-read: a member may die mid-stream
         const auto e = done_epoch(*d, key);
         if (e.has_value() && (src == nullptr || *e > src_epoch)) {
           src = d;
@@ -257,13 +234,7 @@ sim::SubTask<> ElasticCluster::rebalance_to(Membership target) {
   // under a bumped epoch, the daemons learn it (stale requests now bounce
   // with EpochMismatch), and admissions resume.
   const Time barrier_start = engine_.now();
-  std::vector<PortusDaemon*> live;
-  for (const auto& member : target.members) {
-    if (member.state == MemberState::kDown) continue;
-    auto* d = daemon(member.endpoint);
-    if (d == nullptr || d->killed()) continue;
-    live.push_back(d);
-  }
+  const auto live = serving(target);
   for (auto* d : live) d->pause_admissions();
   target.epoch = membership_.epoch + 1;
   membership_ = std::move(target);

@@ -103,11 +103,13 @@ class ElasticCluster final : public MembershipSource {
   sim::SubTask<> rebalance_to(Membership target);
 
   // One copy: source daemon's newest DONE version of `key` streamed into
-  // dst's write slot, DONE flipped at the source epoch. Returns payload
-  // bytes moved (0 = nothing usable to move).
+  // dst's write slot, committed at the source epoch if the bytes match the
+  // source's CRC block. Returns payload bytes moved (0 = nothing moved).
   sim::SubTask<Bytes> migrate_copy(PortusDaemon& src, PortusDaemon& dst,
                                    const std::string& key, std::uint32_t replica);
 
+  // Daemons of the non-DOWN members of `m` that are up, in ring order.
+  std::vector<PortusDaemon*> serving(const Membership& m) const;
   void push_epoch();
   static std::optional<std::uint64_t> done_epoch(PortusDaemon& d, const std::string& key);
 

@@ -492,15 +492,7 @@ sim::SubTask<PortusDaemon::TensorCrcs> PortusDaemon::run_op(ModelSession& sessio
   // datapath; the process it models died with it, so nothing below — CRC
   // block or DONE flip — may touch PMEM.
   PORTUS_CHECK(!dead_, "power lost before checkpoint commit");
-
-  if (!index.phantom()) {
-    // Persist the payload-CRC block BEFORE the DONE flip, extending the
-    // ordering to ACTIVE -> data -> CRC block -> DONE: a DONE slot is
-    // thereby guaranteed to carry a valid, epoch-matching block.
-    index.set_payload_crcs(txn.slot(), txn.epoch(), crcs);
-  }
-
-  txn.commit();
+  txn.commit(crcs);
   ++stats_.checkpoints;
   stats_.bytes_pulled += session.registration.total_bytes();
   done.epoch = txn.epoch();
@@ -524,30 +516,13 @@ sim::SubTask<PortusDaemon::TensorCrcs> PortusDaemon::run_op(ModelSession& sessio
   const auto* slot_mr = session.slot_mr[*slot_idx];
   PORTUS_CHECK(slot_mr != nullptr, "restore slot has no registered region");
 
-  // Integrity scrub before any byte leaves PMEM: the DONE slot must carry
-  // a valid payload-CRC block for its exact epoch, and every tensor's
-  // bytes must still match it. Bit rot (or an undetected torn write)
-  // surfaces here as an explicit Corruption instead of silently feeding
-  // the training job garbage weights.
-  TensorCrcs crcs;
-  if (!index.phantom()) {
-    const auto block = index.payload_crcs(*slot_idx);
-    if (!block.has_value() || block->epoch != slot.epoch) {
-      ++stats_.integrity_rejects;
-      throw Corruption(strf("payload-CRC block for {} slot {} is {} at epoch {}",
-                            msg.model_name, *slot_idx,
-                            block.has_value() ? "stale" : "missing or torn", slot.epoch));
-    }
-    const auto& tensors = index.tensors();
-    for (std::size_t t = 0; t < tensors.size(); ++t) {
-      if (device_.crc(slot.data_offset + tensors[t].offset_in_slot, tensors[t].size) !=
-          block->crcs[t]) {
-        ++stats_.integrity_rejects;
-        throw Corruption(strf("tensor {} of {} failed its payload CRC on restore",
-                              tensors[t].name, msg.model_name));
-      }
-    }
-    crcs = block->crcs;
+  // Integrity scrub before any byte leaves PMEM: bit rot (or an undetected
+  // torn write) surfaces as an explicit Corruption instead of silently
+  // feeding the training job garbage weights.
+  auto proof = verify_slot(index, *slot_idx);
+  if (!proof.ok()) {
+    ++stats_.integrity_rejects;
+    throw Corruption(proof.failure(index, *slot_idx));
   }
 
   SlotTransfer leg{.restore = true,
@@ -560,7 +535,7 @@ sim::SubTask<PortusDaemon::TensorCrcs> PortusDaemon::run_op(ModelSession& sessio
   ++stats_.restores;
   stats_.bytes_pushed += session.registration.total_bytes();
   done.epoch = slot.epoch;
-  co_return crcs;
+  co_return std::move(proof.crcs);
 }
 
 }  // namespace portus::core

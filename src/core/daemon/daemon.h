@@ -15,10 +15,10 @@
 // Checkpoint = CheckpointTxn::begin (ACTIVE persisted) -> pipelined
 // one-sided RDMA READs (chunked tensors, bounded window, optional QP
 // stripes) from client GPU memory into the slot's TensorData, each chunk
-// flushed as it lands -> final persist -> commit (DONE + epoch persisted)
-// -> notify client over TCP. Restore = the same pipeline running one-sided
-// RDMA WRITEs from the newest DONE slot into the client's (freshly
-// registered) GPU buffers. See core/daemon/pipeline.h.
+// flushed as it lands -> final persist -> commit (CRC block, DONE + epoch
+// persisted) -> notify client over TCP. Restore = verify_slot, then the
+// same pipeline running one-sided RDMA WRITEs from the newest DONE slot
+// into the client's GPU buffers. See core/daemon/{pipeline,slots}.h.
 #pragma once
 
 #include <map>
@@ -101,7 +101,7 @@ class PortusDaemon {
     bool tenancy = false;
     // Grant ceiling for tenants that request nothing / too much. All-zero =
     // unlimited capacity, unpaced.
-    TenantQuota tenant_defaults;
+    TenantQuota tenant_defaults{};
     // In-flight admission slots; 0 = match `workers`.
     int admission_inflight = 0;
     std::uint32_t admission_queue_depth = 64;    // per priority class
@@ -187,6 +187,20 @@ class PortusDaemon {
 
   // Models whose training job sent FINISH_JOB (repacker input).
   const std::set<std::string>& finished_models() const { return finished_; }
+
+  // A model's MIndex: the live session's when one is registered (it shares
+  // slot-header state with the datapath; a second DRAM mirror would fight
+  // it), else the record loaded from PMEM (NotFound if not tabled).
+  struct IndexRef {
+    MIndex* live = nullptr;
+    std::optional<MIndex> loaded;
+    MIndex& operator*() { return live != nullptr ? *live : *loaded; }
+    MIndex* operator->() { return &**this; }
+  };
+  IndexRef index(const std::string& model_name) {
+    if (MIndex* live = find_live_index(model_name)) return {live, {}};
+    return {nullptr, load_index(model_name)};
+  }
 
   // Live (registered this run) MIndex for a model, if any.
   MIndex* find_live_index(const std::string& model_name);

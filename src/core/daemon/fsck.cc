@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "core/daemon/slots.h"
 
 namespace portus::core {
 
@@ -14,7 +15,6 @@ Fsck::Report Fsck::run(bool repair) {
   Report report;
   auto& table = daemon_.model_table();
   auto& allocator = daemon_.allocator();
-  auto& device = daemon_.device();
 
   // Pass 0: the persistent sharded AllocTable itself. recover() silently
   // skips entries whose CRC fails, so this scrub is the only place a torn
@@ -67,28 +67,17 @@ Fsck::Report Fsck::run(bool repair) {
         ++report.active_demoted;
         demote = true;
         PLOG_INFO(kLog, "{} slot {}: ACTIVE crash leftover", name, i);
-      } else if (slot.state == SlotState::kDone && !index->phantom()) {
-        const auto block = index->payload_crcs(i);
-        if (!block.has_value() || block->epoch != slot.epoch) {
+      } else if (slot.state == SlotState::kDone) {
+        if (const auto proof = verify_slot(*index, i); !proof.ok()) {
           ++report.corrupt_demoted;
+          report.corrupt_tensors += static_cast<int>(proof.bad_tensors.size());
           demote = true;
-          PLOG_INFO(kLog, "{} slot {}: payload-CRC block {} at epoch {}", name, i,
-                    block.has_value() ? "stale" : "missing or torn", slot.epoch);
-        } else {
-          int bad = 0;
-          const auto& tensors = index->tensors();
-          for (std::size_t t = 0; t < tensors.size(); ++t) {
-            if (device.crc(slot.data_offset + tensors[t].offset_in_slot,
-                           tensors[t].size) != block->crcs[t]) {
-              ++bad;
-            }
-          }
-          if (bad > 0) {
-            report.corrupt_tensors += bad;
-            ++report.corrupt_demoted;
-            demote = true;
-            PLOG_INFO(kLog, "{} slot {}: {} of {} tensors failed payload CRC", name,
-                      i, bad, tensors.size());
+          if (proof.block_error != nullptr) {
+            PLOG_INFO(kLog, "{} slot {}: payload-CRC block {} at epoch {}", name, i,
+                      proof.block_error, slot.epoch);
+          } else {
+            PLOG_INFO(kLog, "{} slot {}: {} of {} tensors failed payload CRC", name, i,
+                      proof.bad_tensors.size(), index->tensors().size());
           }
         }
       }

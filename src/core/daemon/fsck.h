@@ -7,9 +7,8 @@
 //   * records that fail to load (torn/corrupt) are reported, and in repair
 //     mode dropped from the ModelTable (their extents fall out as orphans);
 //   * ACTIVE slots are crash leftovers by definition and demote to EMPTY;
-//   * every DONE slot's payload is scrubbed against its persisted
-//     payload-CRC block (missing/stale block, or any tensor whose bytes no
-//     longer match, demotes the slot — the double-mapping peer stays);
+//   * every DONE slot must pass verify_slot (core/daemon/slots.h) or is
+//     demoted — the double-mapping peer stays;
 //   * LIVE allocator extents must be referenced by exactly the surviving
 //     records/slots and must not overlap; unreferenced ones are orphans;
 //   * in repair mode, leaked heap gaps are re-adopted and the tail

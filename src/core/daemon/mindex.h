@@ -18,11 +18,10 @@
 //   [payload-CRC block 0][payload-CRC block 1]
 //
 // Each payload-CRC block is [u64 epoch][per-tensor u32 CRC x T][u32 guard]
-// (guard = CRC over the preceding bytes). The pipelined datapath computes
-// the per-tensor CRCs inline as checkpoint chunks land and persists the
-// block BEFORE the slot flips DONE, so every DONE slot has a valid block:
-// restore and `portusctl fsck` verify the TensorData against it, and a
-// DONE slot whose block is torn or stale is itself proof of corruption.
+// (guard = CRC over the preceding bytes). CheckpointTxn alone flips slots
+// ACTIVE/DONE and writes blocks, and verify_slot alone reads them
+// (core/daemon/slots.h): ACTIVE -> data -> CRC block -> DONE, so a DONE
+// slot whose block is torn or stale is itself proof of corruption.
 //
 // Sharded models (core/cluster/) store one MIndex per shard copy under the
 // shard-scoped ModelTable key; the meta blob then carries the copy's shard
@@ -30,10 +29,7 @@
 // reconstructible from any one surviving daemon's PMEM alone.
 //
 // Slot headers are fixed-offset so a checkpoint flips its flag with one
-// 24-byte write + persist — no record rewrite. Persist ordering is the
-// crash-consistency contract:
-//   ACTIVE flag persisted  ->  tensor data pulled & persisted  ->
-//   DONE flag (with new epoch) persisted.
+// 24-byte write + persist — no record rewrite.
 #pragma once
 
 #include <cstdint>
@@ -149,15 +145,10 @@ class MIndex {
     std::uint64_t epoch = 0;
     std::vector<std::uint32_t> crcs;  // one per tensor, in tensors() order
   };
-  // Read slot i's payload-CRC block from the device. nullopt when the
-  // guard CRC does not validate (block never written, or torn by a crash
-  // before the post-data persist completed). A valid block whose epoch
-  // differs from the slot header's is stale and must be treated the same.
+  // Read slot i's payload-CRC block; nullopt when its guard CRC fails
+  // (never written, or torn by a crash).
   std::optional<PayloadCrcs> payload_crcs(int i) const;
   // Write and persist slot i's block. crcs.size() must match tensors().
-  // Called after the slot's TensorData persisted but BEFORE the DONE flip,
-  // extending the crash-consistency ordering to ACTIVE -> data -> CRC
-  // block -> DONE.
   void set_payload_crcs(int i, std::uint64_t epoch,
                         const std::vector<std::uint32_t>& crcs);
 

@@ -8,16 +8,10 @@ namespace portus::core {
 
 int Repacker::reclaim_model(const std::string& name, Report& report) {
   auto& allocator = daemon_.allocator();
-  auto& table = daemon_.model_table();
-
-  // Prefer the live index (shares slot-header state with the daemon);
-  // fall back to loading from PMEM for models without a session.
-  MIndex* live = daemon_.find_live_index(name);
-  std::optional<MIndex> loaded;
-  if (live == nullptr) loaded.emplace(daemon_.load_index(name));
-  MIndex& index = live != nullptr ? *live : *loaded;
-
-  const bool finished = daemon_.finished_models().contains(name) || table.is_finished(name);
+  auto ref = daemon_.index(name);
+  MIndex& index = *ref;
+  const bool finished = daemon_.finished_models().contains(name) ||
+                        daemon_.model_table().is_finished(name);
   const auto latest = index.latest_done_slot();
 
   int cleared = 0;
@@ -26,7 +20,7 @@ int Repacker::reclaim_model(const std::string& name, Report& report) {
     if (slot.data_offset == 0) continue;
 
     const bool crashed_active =
-        slot.state == SlotState::kActive && live == nullptr;  // no running ckpt
+        slot.state == SlotState::kActive && ref.live == nullptr;  // no running ckpt
     const bool outdated = finished && (!latest.has_value() || i != *latest) &&
                           slot.state != SlotState::kActive;
 
@@ -52,15 +46,21 @@ int Repacker::reclaim_model(const std::string& name, Report& report) {
   return cleared;
 }
 
+int Repacker::repack_batch(std::span<const std::string> names, Report& report) {
+  // Synchronous under the Pause (in-flight ops see a consistent table;
+  // compact() moves no data). Leaked heap gaps are adopted before
+  // compacting, so one next to the tail is reclaimed in the same batch.
+  PmemAllocator::Pause pause{daemon_.allocator()};
+  int cleared = 0;
+  for (const auto& name : names) cleared += reclaim_model(name, report);
+  report.gaps_adopted += daemon_.allocator().sweep_gaps();
+  report.compacted += daemon_.allocator().compact();
+  return cleared;
+}
+
 Repacker::Report Repacker::repack() {
   Report report;
-  for (const auto& name : daemon_.model_table().names()) reclaim_model(name, report);
-
-  // Adopt heap bytes orphaned by torn AllocTable entries before compacting,
-  // so a leaked extent adjacent to the tail is reclaimed in the same pass.
-  auto& allocator = daemon_.allocator();
-  report.gaps_adopted = allocator.sweep_gaps();
-  report.compacted = allocator.compact();
+  repack_batch(daemon_.model_table().names(), report);
   PLOG_INFO("repacker", "freed {} outdated + {} crashed, adopted {} leaked, compacted {}",
             format_bytes(report.freed_outdated), format_bytes(report.freed_crashed),
             format_bytes(report.gaps_adopted), format_bytes(report.compacted));
@@ -79,18 +79,9 @@ sim::SubTask<Repacker::Report> Repacker::repack_online(OnlineOptions options) {
     const auto end =
         std::min(names.size(), begin + static_cast<std::size_t>(options.models_per_pass));
 
-    // Relocation barrier: stop granting checkpoint admissions, quiesce the
-    // allocator, and do this batch's reclamation synchronously (no suspend
-    // while the barrier is up — in-flight ops already past admission see a
-    // consistent table; compact() moves no data).
+    // Relocation barrier: no new checkpoint admissions during the batch.
     daemon_.pause_admissions();
-    int cleared = 0;
-    {
-      PmemAllocator::Pause pause{daemon_.allocator()};
-      for (std::size_t i = begin; i < end; ++i) cleared += reclaim_model(names[i], report);
-      report.gaps_adopted += daemon_.allocator().sweep_gaps();
-      report.compacted += daemon_.allocator().compact();
-    }
+    const int cleared = repack_batch(std::span{names}.subspan(begin, end - begin), report);
     ++report.passes;
 
     // Charge the window's cost in virtual time while admissions stay

@@ -8,15 +8,15 @@
 //       incomplete data and can never be restored.
 //
 // Repacking frees those TensorData extents and compacts the allocator's
-// tail. Two modes:
+// tail, in batches that each run under the allocator Pause. Two modes:
 //
-//   * repack() — the classic offline pass: one stop-the-world sweep over
-//     every model while the daemon is quiescent.
+//   * repack() — offline: one batch of every model while the daemon is
+//     quiescent (no admission pause, no virtual-time window).
 //
 //   * repack_online() — incremental: the model list is walked in bounded
-//     batches, each under a short relocation barrier (admissions paused +
-//     allocator quiesced) whose length is charged in virtual time, with the
-//     daemon serving live traffic between batches. This is the paper's
+//     batches, each under a short relocation barrier (admissions paused)
+//     whose length is charged in virtual time, with the daemon serving
+//     live traffic between batches. This is the paper's
 //     "in the background ... when available space is low" mode made real:
 //     the fleet keeps checkpointing while garbage is swept, and only the
 //     tenants unlucky enough to arrive inside a window wait it out.
@@ -25,7 +25,7 @@
 // capacity charge to their tenant's quota.
 #pragma once
 
-#include <set>
+#include <span>
 #include <string>
 
 #include "core/daemon/daemon.h"
@@ -74,6 +74,8 @@ class Repacker {
  private:
   // Apply the reclamation rules to one model. Returns slots cleared.
   int reclaim_model(const std::string& name, Report& report);
+  // Reclaim `names`, sweep gaps and compact under the Pause. Returns slots cleared.
+  int repack_batch(std::span<const std::string> names, Report& report);
 
   PortusDaemon& daemon_;
 };

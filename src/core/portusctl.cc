@@ -1,26 +1,23 @@
 #include "core/portusctl.h"
 
 #include "common/strformat.h"
+#include "core/daemon/slots.h"
 
 namespace portus::core {
 
 std::vector<Portusctl::ModelInfo> Portusctl::view() {
   std::vector<ModelInfo> out;
   for (const auto& name : daemon_.model_table().names()) {
-    const MIndex* live = daemon_.find_live_index(name);
-    std::optional<MIndex> loaded;
-    if (live == nullptr) loaded.emplace(daemon_.load_index(name));
-    const MIndex& index = live != nullptr ? *live : *loaded;
-
+    auto index = daemon_.index(name);
     ModelInfo info;
     info.name = name;
-    info.layers = index.tensors().size();
-    info.slot_size = index.slot_size();
-    info.phantom = index.phantom();
+    info.layers = index->tensors().size();
+    info.slot_size = index->slot_size();
+    info.phantom = index->phantom();
     for (int i = 0; i < 2; ++i) {
-      info.slots[i] = SlotInfo{index.slot(i).state, index.slot(i).epoch};
+      info.slots[i] = SlotInfo{index->slot(i).state, index->slot(i).epoch};
     }
-    info.restorable = index.latest_done_slot().has_value();
+    info.restorable = index->latest_done_slot().has_value();
     out.push_back(std::move(info));
   }
   return out;
@@ -151,14 +148,17 @@ std::string Portusctl::render_fsck(const Fsck::Report& r) {
 }
 
 sim::SubTask<storage::CheckpointFile> Portusctl::dump(const std::string& model_name) {
-  const MIndex* live = daemon_.find_live_index(model_name);
-  std::optional<MIndex> loaded;
-  if (live == nullptr) loaded.emplace(daemon_.load_index(model_name));
-  const MIndex& index = live != nullptr ? *live : *loaded;
+  auto ref = daemon_.index(model_name);
+  const MIndex& index = *ref;
 
   const auto slot_idx = index.latest_done_slot();
   if (!slot_idx.has_value()) throw NotFound("no restorable version of " + model_name);
   const auto& slot = index.slot(*slot_idx);
+  // The same proof restore demands: never export bytes the slot's
+  // payload-CRC block does not vouch for.
+  if (const auto proof = verify_slot(index, *slot_idx); !proof.ok()) {
+    throw Corruption(proof.failure(index, *slot_idx));
+  }
 
   auto& device = daemon_.device();
   auto& engine = daemon_.node().engine();

@@ -59,7 +59,8 @@ class Portusctl {
 
   // `portusctl dump`: read the newest DONE version's TensorData out of PMEM
   // and serialize it into the portable container format. Charges PMEM read
-  // + CPU serialization time.
+  // + CPU serialization time. Throws Corruption, as restore does, when the
+  // slot fails its payload-CRC proof (core/daemon/slots.h).
   sim::SubTask<storage::CheckpointFile> dump(const std::string& model_name);
 
   // Dump straight into a filesystem file (e.g. for sharing over Lustre).

@@ -91,7 +91,7 @@ class EpochMismatch : public Error {
 struct TensorDesc {
   std::string name;
   dnn::DType dtype = dnn::DType::kF32;
-  std::vector<std::int64_t> shape;
+  std::vector<std::int64_t> shape{};
   Bytes size = 0;
   std::uint64_t gpu_addr = 0;
   std::uint32_t rkey = 0;
@@ -175,7 +175,7 @@ struct CheckpointReqMsg {
   // only these tensor indices changed since the previous version; the daemon
   // pulls them over RDMA and copies the rest PMEM-locally from the last DONE
   // slot. Empty = full checkpoint.
-  std::vector<std::uint32_t> dirty_indices;
+  std::vector<std::uint32_t> dirty_indices{};
   // v6 elasticity: see RegisterModelMsg::membership_epoch.
   std::uint64_t membership_epoch = 0;
 };
@@ -188,7 +188,7 @@ struct OpDoneMsg {
   std::string model_name;
   std::uint64_t epoch = 0;
   bool ok = false;
-  std::string error;
+  std::string error{};
   // CRC-of-per-tensor-CRCs (matches dnn::Model::weights_crc()) of the
   // payload persisted or served; 0 when !ok or for phantom models. A restore
   // scrubs the slot against it before pushing a byte.

@@ -625,7 +625,11 @@ TEST(RepackerConcurrencyTest, RepackSparesOpenCheckpointTxn) {
   EXPECT_EQ(idx->slot(txn.slot()).data_offset, active_offset);
 
   // The surviving transaction commits normally after the repack pass.
-  txn.commit();
+  std::vector<std::uint32_t> crcs;
+  for (const auto& t : idx->tensors()) {
+    crcs.push_back(idx->device().crc(txn.data_offset() + t.offset_in_slot, t.size));
+  }
+  txn.commit(crcs);
   EXPECT_EQ(idx->slot(txn.slot()).state, SlotState::kDone);
   EXPECT_EQ(idx->max_epoch(), 1u);
 }

@@ -546,6 +546,16 @@ TEST(MIndexTest, LoadRejectsGarbage) {
   EXPECT_THROW(MIndex::load(f.device, 2_MiB), Corruption);
 }
 
+// The per-tensor CRCs of the bytes now in a transaction's slot — what the
+// datapath would have collected — so each commit carries a true proof.
+std::vector<std::uint32_t> slot_crcs(const MIndex& idx, const CheckpointTxn& txn) {
+  std::vector<std::uint32_t> crcs;
+  for (const auto& t : idx.tensors()) {
+    crcs.push_back(idx.device().crc(txn.data_offset() + t.offset_in_slot, t.size));
+  }
+  return crcs;
+}
+
 TEST(CheckpointTxnTest, FirstCheckpointUsesSlot0) {
   IndexFixture f;
   auto idx = MIndex::create(f.device, f.alloc, f.reg);
@@ -553,9 +563,10 @@ TEST(CheckpointTxnTest, FirstCheckpointUsesSlot0) {
   EXPECT_EQ(txn.slot(), 0);
   EXPECT_EQ(idx.slot(0).state, SlotState::kActive);
   EXPECT_EQ(txn.epoch(), 1u);
-  txn.commit();
+  txn.commit(slot_crcs(idx, txn));
   EXPECT_EQ(idx.slot(0).state, SlotState::kDone);
   EXPECT_EQ(idx.latest_done_slot(), 0);
+  EXPECT_TRUE(verify_slot(idx, 0).ok()) << "a DONE slot must carry its CRC proof";
 }
 
 TEST(CheckpointTxnTest, AlternatesSlotsAndKeepsOneValidVersion) {
@@ -568,7 +579,7 @@ TEST(CheckpointTxnTest, AlternatesSlotsAndKeepsOneValidVersion) {
       // While writing slot A, slot B must hold the previous DONE version.
       EXPECT_EQ(idx.slot(1 - txn.slot()).state, SlotState::kDone);
     }
-    txn.commit();
+    txn.commit(slot_crcs(idx, txn));
     EXPECT_EQ(idx.latest_done_slot(), i % 2);
     EXPECT_EQ(idx.max_epoch(), static_cast<std::uint64_t>(i + 1));
   }
@@ -578,7 +589,7 @@ TEST(CheckpointTxnTest, AbortLeavesSlotActiveAndInvalid) {
   IndexFixture f;
   auto idx = MIndex::create(f.device, f.alloc, f.reg);
   {
-    auto txn = CheckpointTxn::begin(idx);
+    [[maybe_unused]] auto txn = CheckpointTxn::begin(idx);
     // destructor = crash semantics: no rollback write
   }
   EXPECT_EQ(idx.slot(0).state, SlotState::kActive);
@@ -586,7 +597,7 @@ TEST(CheckpointTxnTest, AbortLeavesSlotActiveAndInvalid) {
   // The next checkpoint reuses the same (invalid) slot.
   auto txn2 = CheckpointTxn::begin(idx);
   EXPECT_EQ(txn2.slot(), 0);
-  txn2.commit();
+  txn2.commit(slot_crcs(idx, txn2));
   EXPECT_EQ(idx.latest_done_slot(), 0);
 }
 
@@ -599,7 +610,7 @@ TEST(CheckpointTxnTest, CrashDuringWriteLeavesPreviousVersionValid) {
     auto txn = CheckpointTxn::begin(idx);
     f.device.fill(txn.data_offset(), idx.slot_size(), std::byte{0xAA});
     f.device.persist(txn.data_offset(), idx.slot_size());
-    txn.commit();
+    txn.commit(slot_crcs(idx, txn));
   }
   // Second checkpoint crashes mid-transfer: ACTIVE persisted, data partial.
   {
@@ -615,6 +626,57 @@ TEST(CheckpointTxnTest, CrashDuringWriteLeavesPreviousVersionValid) {
   // Slot 0's data survived untouched.
   const auto data = f.device.read(recovered.slot(0).data_offset, recovered.slot_size());
   for (auto b : data) EXPECT_EQ(b, std::byte{0xAA});
+}
+
+TEST(CheckpointTxnTest, CarriedEpochStaysZeroUntilCommit) {
+  IndexFixture f;
+  auto idx = MIndex::create(f.device, f.alloc, f.reg);
+  auto txn = CheckpointTxn::begin(idx, 7);
+  EXPECT_EQ(txn.slot(), 0);
+  // A half-streamed copy must not look like any epoch on PMEM.
+  EXPECT_EQ(idx.slot(0).state, SlotState::kActive);
+  EXPECT_EQ(idx.slot(0).epoch, 0u);
+  txn.commit(slot_crcs(idx, txn));
+  EXPECT_EQ(idx.slot(0).state, SlotState::kDone);
+  EXPECT_EQ(idx.slot(0).epoch, 7u);
+  EXPECT_TRUE(verify_slot(idx, 0).ok());
+}
+
+TEST(CheckpointTxnTest, CommitRefusesUnpersistedData) {
+  IndexFixture f;
+  auto idx = MIndex::create(f.device, f.alloc, f.reg);
+  auto txn = CheckpointTxn::begin(idx);
+  f.device.fill(txn.data_offset(), 64, std::byte{0x5A});  // never persisted
+  EXPECT_THROW(txn.commit(slot_crcs(idx, txn)), Error);
+  EXPECT_EQ(idx.slot(0).state, SlotState::kActive) << "no DONE over volatile bytes";
+}
+
+TEST(SlotVerifierTest, NamesEveryFailure) {
+  IndexFixture f;
+  auto idx = MIndex::create(f.device, f.alloc, f.reg);
+  // Registered but never checkpointed: no block behind the slot.
+  EXPECT_STREQ(verify_slot(idx, 0).block_error, "missing or torn");
+
+  auto txn = CheckpointTxn::begin(idx);
+  f.device.fill(txn.data_offset(), idx.slot_size(), std::byte{0x11});
+  f.device.persist(txn.data_offset(), idx.slot_size());
+  txn.commit(slot_crcs(idx, txn));
+  ASSERT_TRUE(verify_slot(idx, 0).ok());
+
+  // One flipped byte in tensor 2 fails exactly that tensor, in restore's words.
+  const Bytes at = idx.slot(0).data_offset + idx.tensors()[2].offset_in_slot + 5;
+  f.device.fill(at, 1, std::byte{0x12});
+  const auto rotted = verify_slot(idx, 0);
+  EXPECT_FALSE(rotted.ok());
+  EXPECT_EQ(rotted.bad_tensors, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(rotted.failure(idx, 0), "tensor t2 of bert failed its payload CRC on restore");
+
+  // A block from another epoch is stale, whatever the bytes say.
+  f.device.fill(at, 1, std::byte{0x11});
+  idx.set_payload_crcs(0, 99, slot_crcs(idx, txn));
+  const auto stale = verify_slot(idx, 0);
+  EXPECT_STREQ(stale.block_error, "stale");
+  EXPECT_EQ(stale.failure(idx, 0), "payload-CRC block for bert slot 0 is stale at epoch 1");
 }
 
 TEST(MIndexTest, DestroyReleasesAllExtents) {

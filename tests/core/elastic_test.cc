@@ -159,6 +159,74 @@ TEST(ElasticTest, JoinMigratesCopiesAndBumpsEpoch) {
   EXPECT_GE(client.stats().epoch_reresolutions, 1u);
 }
 
+// A migration commits only what its carried CRC block proves: a source
+// copy that rots after its own commit must not land DONE on the joiner
+// under that block.
+
+TEST(ElasticTest, JoinRefusesToCommitARottedSourceCopy) {
+  ElasticRig r{3, 2};
+  auto& volta = r.cluster->node("client-volta");
+  auto model = r.make_model();
+  ClusterClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous,
+                       r.client_config(2, 4)};
+  r.eng.spawn([](ClusterClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.register_model(m);
+    co_await c.checkpoint(1);
+  }(client, model));
+  r.eng.run();
+
+  // The shard the join will hand the new member (ring position 2): the
+  // placement the migrator computes over the target membership.
+  const auto& plan = client.plan();
+  std::vector<Bytes> sizes;
+  for (const auto& t : model.tensors()) sizes.push_back(t.byte_size());
+  const std::vector<std::uint32_t> active{0, 1, 2};
+  const auto target = Placement::compute_over(plan.model_name, sizes, plan.shard_count, 3,
+                                              active, plan.replicas, plan.placement_epoch);
+  std::optional<std::uint32_t> moving;
+  for (std::uint32_t s = 0; s < target.shard_daemons.size() && !moving; ++s) {
+    const auto& ring = target.shard_daemons[s];
+    if (!target.shard_tensors[s].empty() &&
+        std::find(ring.begin(), ring.end(), 2u) != ring.end()) {
+      moving = s;
+    }
+  }
+  ASSERT_TRUE(moving.has_value());
+  const std::string key = shard_key(plan.model_name, *moving);
+
+  // Both founders hold epoch 1; the migrator streams from the first, so
+  // rot one byte of that copy's committed tensor.
+  {
+    const MIndex* idx = r.daemons[0]->find_live_index(key);
+    ASSERT_NE(idx, nullptr);
+    const auto slot = idx->latest_done_slot();
+    ASSERT_TRUE(slot.has_value());
+    const Bytes at = idx->slot(*slot).data_offset + idx->tensors()[0].offset_in_slot;
+    auto& device = r.daemons[0]->device();
+    auto b = device.read(at, 1);
+    b[0] ^= std::byte{0x04};
+    device.write(at, b);
+    device.persist(at, 1);
+  }
+
+  r.eng.spawn([](ElasticRig& rig) -> sim::Process {
+    co_await rig.elastic.join(ElasticRig::ep(2), *rig.daemons[2]);
+  }(r));
+  r.eng.run();
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+  EXPECT_GT(r.elastic.stats().copies_moved, 0u) << "the intact shards still migrate";
+
+  auto& joiner = *r.daemons[2];
+  if (joiner.model_table().lookup(key).has_value()) {
+    const auto idx = joiner.load_index(key);
+    EXPECT_FALSE(idx.latest_done_slot().has_value())
+        << "a copy that fails its carried CRC block landed DONE";
+  }
+  const auto report = Fsck{joiner}.run(/*repair=*/false);
+  EXPECT_EQ(report.corrupt_demoted, 0);
+  EXPECT_EQ(report.corrupt_tensors, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Headline acceptance: a 1 -> 4 -> 2 resize under continuous checkpoint
 // load produces ZERO failed client ops, and the final restore is bit-exact.

@@ -215,6 +215,43 @@ TEST(LifecycleTest, DumpWithoutValidVersionFails) {
   EXPECT_EQ(report.slots_cleared, 0);
 }
 
+// dump demands the proof restore demands: a committed slot whose bytes rot
+// afterwards is refused with restore's Corruption, never exported.
+TEST(LifecycleTest, DumpRefusesRottedSlot) {
+  Rig r;
+  auto model = r.model("alexnet");
+  auto client = r.client();
+  r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.connect();
+    co_await c.register_model(m);
+    co_await c.checkpoint(m, 1);
+  }(*client, model));
+  r.eng.run();
+
+  const auto index = r.daemon->load_index("alexnet");
+  const auto slot = index.latest_done_slot();
+  ASSERT_TRUE(slot.has_value());
+  const auto& tensor = index.tensors()[1];
+  const Bytes at = index.slot(*slot).data_offset + tensor.offset_in_slot + 3;
+  auto& device = r.daemon->device();
+  auto b = device.read(at, 1);
+  b[0] ^= std::byte{0x10};
+  device.write(at, b);
+  device.persist(at, 1);
+
+  Portusctl ctl{*r.daemon};
+  std::string error;
+  r.eng.spawn([](Portusctl& c, std::string& what) -> sim::Process {
+    try {
+      (void)co_await c.dump("alexnet");
+    } catch (const Corruption& e) {
+      what = e.what();
+    }
+  }(ctl, error));
+  r.eng.run();
+  EXPECT_EQ(error, "tensor " + tensor.name + " of alexnet failed its payload CRC on restore");
+}
+
 TEST(LifecycleTest, ReRegistrationWithDifferentStructureRejected) {
   Rig r;
   auto model = r.model("alexnet");
