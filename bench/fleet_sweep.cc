@@ -88,12 +88,10 @@ struct Row {
 void absorb_daemons(FleetRig& rig, Row& row) {
   for (const auto& d : rig.daemons) {
     row.daemon_backpressure += d->stats().backpressure_rejects;
-    if (d->admission() != nullptr) {
-      row.admitted += d->admission()->stats().admitted;
-      row.paced += d->admission()->stats().paced;
-      row.queue_wait_max =
-          std::max(row.queue_wait_max, d->admission()->stats().queue_wait_max);
-    }
+    const auto& adm = d->admission()->stats();
+    row.admitted += adm.admitted;
+    row.paced += adm.paced;
+    row.queue_wait_max = std::max(row.queue_wait_max, adm.queue_wait_max);
   }
 }
 

@@ -267,6 +267,9 @@ sim::SubTask<> PortusClient::finish(dnn::Model& model) {
   FinishJobMsg req{.model_name = model.name()};
   auto wire = encode(req);
   const auto reply = co_await roundtrip(std::move(wire));
+  if (decode_type(reply) == MsgType::kError) {
+    throw NotFound(strf("finish {}: {}", model.name(), decode_error(reply).error));
+  }
   PORTUS_CHECK(decode_type(reply) == MsgType::kFinishAck, "unexpected finish reply");
 }
 

@@ -48,7 +48,7 @@ class PortusClient {
     std::uint64_t backpressure = 0;  // Backpressure answers absorbed
     std::uint64_t reconnects = 0;    // sockets re-dialed after a timeout
     // Quota the daemon granted at the last registration (protocol v5;
-    // all-zero when the daemon runs untenanted).
+    // capacity and rate are 0 = unlimited / unpaced on an untenanted daemon).
     Bytes granted_capacity = 0;
     Bytes granted_rate = 0;
     std::uint32_t granted_wr_slots = 0;

@@ -235,12 +235,12 @@ sim::SubTask<> ElasticCluster::rebalance_to(Membership target) {
   // with EpochMismatch), and admissions resume.
   const Time barrier_start = engine_.now();
   const auto live = serving(target);
-  for (auto* d : live) d->pause_admissions();
+  for (auto* d : live) d->admission()->pause();
   target.epoch = membership_.epoch + 1;
   membership_ = std::move(target);
   ++stats_.epoch_bumps;
   push_epoch();
-  for (auto* d : live) d->resume_admissions();
+  for (auto* d : live) d->admission()->resume();
   ++stats_.barriers;
   stats_.barrier_time += engine_.now() - barrier_start;
   PLOG_INFO(kLog, "membership epoch {} installed ({} active members)", membership_.epoch,

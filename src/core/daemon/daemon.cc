@@ -41,17 +41,15 @@ PortusDaemon::PortusDaemon(net::Cluster& cluster, net::Node& storage_node,
                                      .refill_bytes = config_.alloc_refill_bytes,
                                      .numa_nodes = config_.numa_nodes});
   workers_ = std::make_unique<sim::SimSemaphore>(cluster.engine(), config_.workers);
-  if (config_.tenancy) {
-    tenants_ = std::make_unique<TenantRegistry>(
-        TenantRegistry::Defaults{.quota = config_.tenant_defaults});
-    admission_ = std::make_unique<AdmissionController>(
-        cluster.engine(),
-        AdmissionController::Config{
-            .max_inflight = config_.admission_inflight > 0 ? config_.admission_inflight
-                                                           : config_.workers,
-            .queue_depth = config_.admission_queue_depth,
-            .retry_after = config_.admission_retry_after});
-  }
+  tenants_ = std::make_unique<TenantRegistry>(
+      TenantRegistry::Defaults{.quota = config_.tenant_defaults});
+  admission_ = std::make_unique<AdmissionController>(
+      cluster.engine(),
+      AdmissionController::Config{
+          .max_inflight = config_.admission_inflight > 0 ? config_.admission_inflight
+                                                         : config_.workers,
+          .queue_depth = config_.tenancy ? config_.admission_queue_depth
+                                         : AdmissionController::kUnboundedQueue});
 }
 
 PortusDaemon::~PortusDaemon() {
@@ -165,9 +163,17 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
           break;
         }
         case MsgType::kFinishJob: {
+          // The persisted finished hint is the repacker's one input. An
+          // unknown model is answered with the cause, and the session
+          // keeps serving.
           const auto msg = decode_finish_job(wire);
-          finished_.insert(msg.model_name);
-          model_table_->set_finished(msg.model_name);
+          try {
+            model_table_->set_finished(msg.model_name);
+          } catch (const NotFound& e) {
+            ++stats_.failed_ops;
+            socket->send(encode(ErrorMsg{.error = e.what()}));
+            break;
+          }
           BinaryWriter w;
           w.u8(static_cast<std::uint8_t>(MsgType::kFinishAck));
           socket->send(w.take());
@@ -211,17 +217,19 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
   // of an already-charged model bills nothing and so keeps its charge.
   bool charged = false;
   try {
-    // Tenancy: negotiate the quota grant and charge both slots' PMEM
-    // capacity BEFORE any layout happens, so an over-quota registration is
-    // refused without allocating a byte. The charge is the registered
-    // payload doubled (double-mapped slots); alignment padding rides free.
-    Tenant* tenant = nullptr;
-    if (tenants_ != nullptr) {
-      tenant = &tenants_->admit_tenant(
-          msg.tenant_id.empty() ? "default" : msg.tenant_id,
-          priority_from_wire(msg.priority), msg.requested_capacity, msg.requested_rate);
-      charged = tenants_->charge(*tenant, msg.model_name, 2 * msg.total_bytes());
-    }
+    // Negotiate the quota grant and charge both slots' PMEM capacity
+    // BEFORE any layout happens, so an over-quota registration is refused
+    // without allocating a byte. The charge is the registered payload
+    // doubled (double-mapped slots); alignment padding rides free. An
+    // untenanted daemon files every model under the "default" tenant and
+    // ignores what the client requests.
+    Tenant& tenant =
+        config_.tenancy
+            ? tenants_->admit_tenant(msg.tenant_id.empty() ? "default" : msg.tenant_id,
+                                     priority_from_wire(msg.priority),
+                                     msg.requested_capacity, msg.requested_rate)
+            : tenants_->admit_tenant("default", PriorityClass::kNormal, 0, 0);
+    charged = tenants_->charge(tenant, msg.model_name, 2 * msg.total_bytes());
 
     ModelSession session;
     session.registration = msg;
@@ -302,19 +310,14 @@ sim::SubTask<RegisterAckMsg> PortusDaemon::handle_register(RegisterModelMsg msg)
     ack.ok = true;
     ack.stripes = static_cast<std::uint32_t>(stripes);
     ack.max_sges = session_max_sges;
-    if (tenant != nullptr) {
-      ack.granted_capacity = tenant->quota.capacity_bytes;
-      ack.granted_rate = tenant->quota.rate_bytes_per_sec;
-      ack.granted_wr_slots =
-          tenant->quota.wr_slots > 0
-              ? tenant->quota.wr_slots
-              : static_cast<std::uint32_t>(admission_->config().max_inflight);
-    }
+    ack.granted_capacity = tenant.quota.capacity_bytes;
+    ack.granted_rate = tenant.quota.rate_bytes_per_sec;
+    ack.granted_wr_slots = static_cast<std::uint32_t>(admission_->config().max_inflight);
     PLOG_DEBUG(kLog, "registered model {} ({} tensors, {} stripes)", msg.model_name,
                msg.tensors.size(), stripes);
   } catch (const Error& e) {
     ++stats_.failed_ops;
-    if (charged) tenants_->uncharge(msg.model_name, 2 * msg.total_bytes());
+    if (charged) tenants_->uncharge(msg.model_name);
     ack.ok = false;
     ack.error = e.what();
   }
@@ -335,14 +338,14 @@ sim::SubTask<OpDoneMsg> PortusDaemon::handle_op(Req msg) {
     co_return done;
   }
 
-  // Tenancy: a checkpoint must hold an admission ticket (strict priority +
-  // WFQ + pacing, bounded queue) before it may occupy a worker or post a
-  // WR. A full queue answers Backpressure — a cheap, retryable roundtrip —
-  // without ever touching the worker pool. Unregistered models fall through
-  // untenanted and fail the session lookup below like before. Restores are
+  // A checkpoint must hold an admission ticket (strict priority + fair
+  // queuing + pacing, bounded queue) before it may occupy a worker or post
+  // a WR. A full queue answers Backpressure — a cheap, retryable roundtrip
+  // — without ever touching the worker pool. Unregistered models hold no
+  // charge, skip the gate and fail the session lookup below. Restores are
   // deliberately unthrottled: they are the recovery path.
   AdmissionController::Ticket ticket;
-  if (!kRestore && admission_ != nullptr) {
+  if (!kRestore) {
     const auto it = sessions_.find(msg.model_name);
     Tenant* tenant = it != sessions_.end() ? tenants_->owner_of(msg.model_name) : nullptr;
     if (tenant != nullptr) {
@@ -352,7 +355,8 @@ sim::SubTask<OpDoneMsg> PortusDaemon::handle_op(Req msg) {
       } catch (const Backpressure& e) {
         ++stats_.backpressure_rejects;
         done.backpressure = true;
-        done.retry_after_ns = static_cast<std::uint64_t>(config_.admission_retry_after.count());
+        done.retry_after_ns =
+            static_cast<std::uint64_t>(AdmissionController::kRetryAfter.count());
         done.error = e.what();
         co_return done;
       }

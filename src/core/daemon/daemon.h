@@ -4,7 +4,8 @@
 // by its own session process. Heavy operations (registration layout,
 // checkpoint pulls, restore pushes) run under a worker pool modelled as a
 // counting semaphore — the paper's ThreadPool — so concurrency across
-// tenants is bounded but real.
+// tenants is bounded but real. A checkpoint first takes a ticket from the
+// daemon's one admission gate (core/daemon/tenant.h).
 //
 // PMEM layout on the devdax namespace:
 //   [4 KiB  superblock (reserved)]
@@ -24,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "core/daemon/allocator.h"
@@ -93,19 +93,21 @@ class PortusDaemon {
     // target named `endpoint`, so tests/benches can crash or hang it at a
     // chosen point in virtual time (sim/fault.h).
     sim::FaultInjector* faults = nullptr;
-    // --- multi-tenant admission control (core/daemon/tenant.h). Off by
-    // default: every untenanted workload runs the classic unthrottled
-    // datapath bit-for-bit. On, checkpoints acquire an admission ticket
-    // (strict priority + WFQ + token-bucket pacing, bounded queues with
-    // Backpressure rejections) before occupying a worker. ---
+    // --- admission control (core/daemon/tenant.h). Every checkpoint takes
+    // an admission ticket (strict priority + fair queuing + token-bucket
+    // pacing) before it occupies a worker; restores bypass the gate. The
+    // tenancy switch picks the policy. Off: every model is filed under one
+    // unlimited "default" tenant of the normal class, whose queue is
+    // unbounded (it never answers Backpressure). On: registrations carry
+    // the client's tenant id, class and quota requests, and each class
+    // queue holds at most admission_queue_depth waiters. ---
     bool tenancy = false;
     // Grant ceiling for tenants that request nothing / too much. All-zero =
     // unlimited capacity, unpaced.
     TenantQuota tenant_defaults{};
     // In-flight admission slots; 0 = match `workers`.
     int admission_inflight = 0;
-    std::uint32_t admission_queue_depth = 64;    // per priority class
-    Duration admission_retry_after{2'000'000};   // Backpressure hint (2 ms)
+    std::uint32_t admission_queue_depth = 64;    // per priority class, tenancy on
   };
 
   // Control-path counters plus the pipelined datapath's (DatapathStats,
@@ -164,18 +166,11 @@ class PortusDaemon {
   net::Node& node() { return node_; }
   sim::Engine& engine() { return cluster_.engine(); }
 
-  // Tenancy (null unless Config::tenancy is on).
+  // The tenant registry and the admission gate (never null). The gate's
+  // pause()/resume() is the relocation barrier of online repack and
+  // elastic migration.
   TenantRegistry* tenants() { return tenants_.get(); }
   AdmissionController* admission() { return admission_.get(); }
-  // Online-repack relocation barrier: stop granting new checkpoint
-  // admissions while a maintenance window rewrites the allocator. No-ops
-  // when tenancy is off (the offline repacker quiesces the allocator alone).
-  void pause_admissions() {
-    if (admission_ != nullptr) admission_->pause();
-  }
-  void resume_admissions() {
-    if (admission_ != nullptr) admission_->resume();
-  }
 
   // Cluster membership epoch this daemon currently serves (protocol v6).
   // 0 = standalone / not epoch-checked: requests are never bounced. The
@@ -184,9 +179,6 @@ class PortusDaemon {
   // epoch_mismatch so the client re-resolves placement first.
   void set_membership_epoch(std::uint64_t e) { membership_epoch_ = e; }
   std::uint64_t membership_epoch() const { return membership_epoch_; }
-
-  // Models whose training job sent FINISH_JOB (repacker input).
-  const std::set<std::string>& finished_models() const { return finished_; }
 
   // A model's MIndex: the live session's when one is registered (it shares
   // slot-header state with the datapath; a second DRAM mirror would fight
@@ -272,12 +264,9 @@ class PortusDaemon {
   std::unique_ptr<ModelTable> model_table_;
   std::unique_ptr<PmemAllocator> allocator_;
   std::unique_ptr<sim::SimSemaphore> workers_;
-  // Tenancy (declared registry-before-controller: tickets released while
-  // the controller dies must still find their tenants).
   std::unique_ptr<TenantRegistry> tenants_;
   std::unique_ptr<AdmissionController> admission_;
   std::map<std::string, ModelSession> sessions_;
-  std::set<std::string> finished_;
   std::vector<std::weak_ptr<net::TcpSocket>> client_sockets_;  // kill() targets
   Stats stats_;
   std::uint64_t next_session_ = 0;  // round-robin NUMA home assignment

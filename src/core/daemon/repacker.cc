@@ -10,8 +10,7 @@ int Repacker::reclaim_model(const std::string& name, Report& report) {
   auto& allocator = daemon_.allocator();
   auto ref = daemon_.index(name);
   MIndex& index = *ref;
-  const bool finished = daemon_.finished_models().contains(name) ||
-                        daemon_.model_table().is_finished(name);
+  const bool finished = daemon_.model_table().is_finished(name);
   const auto latest = index.latest_done_slot();
 
   int cleared = 0;
@@ -37,11 +36,10 @@ int Repacker::reclaim_model(const std::string& name, Report& report) {
     }
   }
 
-  // Tenancy: a model whose slots are all gone stops holding PMEM — return
-  // its whole capacity charge (uncharge clamps, so over-asking is safe).
-  if (cleared > 0 && daemon_.tenants() != nullptr && index.slot(0).data_offset == 0 &&
-      index.slot(1).data_offset == 0) {
-    daemon_.tenants()->uncharge(name, 2 * index.slot_size());
+  // A model whose slots are all gone stops holding PMEM: refund its
+  // tenant's capacity charge.
+  if (cleared > 0 && index.slot(0).data_offset == 0 && index.slot(1).data_offset == 0) {
+    daemon_.tenants()->uncharge(name);
   }
   return cleared;
 }
@@ -80,7 +78,7 @@ sim::SubTask<Repacker::Report> Repacker::repack_online(OnlineOptions options) {
         std::min(names.size(), begin + static_cast<std::size_t>(options.models_per_pass));
 
     // Relocation barrier: no new checkpoint admissions during the batch.
-    daemon_.pause_admissions();
+    daemon_.admission()->pause();
     const int cleared = repack_batch(std::span{names}.subspan(begin, end - begin), report);
     ++report.passes;
 
@@ -90,7 +88,7 @@ sim::SubTask<Repacker::Report> Repacker::repack_online(OnlineOptions options) {
                           cleared * options.pass_cost_per_slot.count()};
     report.paused_time += window;
     co_await daemon_.engine().sleep(window);
-    daemon_.resume_admissions();
+    daemon_.admission()->resume();
 
     co_await daemon_.engine().sleep(options.yield);  // let live traffic breathe
   }

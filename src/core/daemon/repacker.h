@@ -21,8 +21,8 @@
 //     the fleet keeps checkpointing while garbage is swept, and only the
 //     tenants unlucky enough to arrive inside a window wait it out.
 //
-// When the daemon runs tenanted, fully-reclaimed models return their PMEM
-// capacity charge to their tenant's quota.
+// Fully-reclaimed models return their PMEM capacity charge to their
+// tenant's quota.
 #pragma once
 
 #include <span>

@@ -1,6 +1,7 @@
 #include "core/daemon/tenant.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/strformat.h"
 
@@ -64,7 +65,11 @@ Tenant* TenantRegistry::owner_of(const std::string& model_name) {
 }
 
 bool TenantRegistry::charge(Tenant& tenant, const std::string& model_name, Bytes bytes) {
-  if (tenant.models.contains(model_name)) return false;  // re-registration
+  if (const auto it = model_owner_.find(model_name); it != model_owner_.end()) {
+    if (it->second == tenant.id) return false;  // re-registration
+    throw InvalidArgument(strf("model {} is charged to tenant {}; tenant {} may not register it",
+                               model_name, it->second, tenant.id));
+  }
   if (tenant.quota.capacity_bytes != 0 &&
       tenant.usage.charged_bytes + bytes > tenant.quota.capacity_bytes) {
     ++tenant.usage.quota_rejects;
@@ -75,18 +80,19 @@ bool TenantRegistry::charge(Tenant& tenant, const std::string& model_name, Bytes
   }
   tenant.usage.charged_bytes += bytes;
   ++tenant.usage.models;
-  tenant.models.insert(model_name);
+  tenant.models.emplace(model_name, bytes);
   model_owner_[model_name] = tenant.id;
   return true;
 }
 
-void TenantRegistry::uncharge(const std::string& model_name, Bytes bytes) {
+void TenantRegistry::uncharge(const std::string& model_name) {
   const auto it = model_owner_.find(model_name);
   if (it == model_owner_.end()) return;
-  Tenant* t = find(it->second);
-  if (t == nullptr || !t->models.erase(model_name)) return;
-  t->usage.charged_bytes -= std::min(t->usage.charged_bytes, bytes);
-  if (t->usage.models > 0) --t->usage.models;
+  Tenant& t = tenants_.at(it->second);
+  const auto billed = t.models.find(model_name);
+  t.usage.charged_bytes -= billed->second;
+  --t.usage.models;
+  t.models.erase(billed);
   model_owner_.erase(it);
 }
 
@@ -120,82 +126,54 @@ std::size_t AdmissionController::queued() const {
   return n;
 }
 
-bool AdmissionController::can_grant_now(const Tenant& tenant) const {
-  return !paused_ && inflight_ < config_.max_inflight && queued() == 0 &&
-         !tenant_capped(tenant);
+bool AdmissionController::can_grant_now() const {
+  return !paused_ && inflight_ < config_.max_inflight && queued() == 0;
 }
 
 double AdmissionController::stamp(Tenant& tenant, Bytes bytes) {
-  const double weight = std::max(tenant.quota.share, 1e-9);
   const double start = std::max(vtime_, tenant.vfinish);
-  tenant.vfinish = start + static_cast<double>(bytes) / weight;
+  tenant.vfinish = start + static_cast<double>(bytes);
   return tenant.vfinish;
 }
 
-void AdmissionController::grant(Tenant& tenant) {
-  ++inflight_;
-  ++tenant.inflight;
-  ++tenant.usage.admitted;
-  ++stats_.admitted;
-}
-
-void AdmissionController::finish(Tenant* tenant) {
+void AdmissionController::finish() {
   if (inflight_ > 0) --inflight_;
-  if (tenant != nullptr && tenant->inflight > 0) --tenant->inflight;
   dispatch();
 }
 
 void AdmissionController::Ticket::release() {
-  if (ctrl_ == nullptr) return;
-  std::exchange(ctrl_, nullptr)->finish(std::exchange(tenant_, nullptr));
+  if (ctrl_ != nullptr) std::exchange(ctrl_, nullptr)->finish();
 }
 
 void AdmissionController::dispatch() {
   while (!paused_ && inflight_ < config_.max_inflight) {
     // Strict priority across classes; start-time-fair (min virtual finish
-    // tag, FIFO on ties) within a class. Waiters whose tenant is at its
-    // per-tenant WR-slot cap are passed over, not starved — they become
-    // eligible again when that tenant's ticket releases.
-    Waiter* best = nullptr;
-    std::deque<Waiter>* best_q = nullptr;
-    std::size_t best_i = 0;
-    for (auto& q : queues_) {
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        Waiter& w = q[i];
-        if (tenant_capped(*w.tenant)) continue;
-        if (best == nullptr || w.vft < best->vft ||
-            (w.vft == best->vft && w.seq < best->seq)) {
-          best = &w;
-          best_q = &q;
-          best_i = i;
-        }
-      }
-      if (best != nullptr) break;  // higher class wins outright
-    }
-    if (best == nullptr) return;
+    // tag, FIFO on ties) within a class.
+    const auto q = std::ranges::find_if(queues_, [](const auto& q) { return !q.empty(); });
+    if (q == std::ranges::end(queues_)) return;
+    const auto best = std::ranges::min_element(
+        *q, {}, [](const Waiter& w) { return std::pair{w.vft, w.seq}; });
     vtime_ = std::max(vtime_, best->vft);
-    grant(*best->tenant);
+    ++inflight_;
     const auto handle = best->handle;
-    best_q->erase(best_q->begin() + static_cast<std::ptrdiff_t>(best_i));
+    q->erase(best);
     engine_.resume_later(handle);
   }
 }
 
 struct AdmissionController::WaitAwaitable {
   AdmissionController& ctrl;
-  Tenant& tenant;
+  int cls;
   double vft;
 
   bool await_ready() const noexcept {
-    if (!ctrl.can_grant_now(tenant)) return false;
+    if (!ctrl.can_grant_now()) return false;
     ctrl.vtime_ = std::max(ctrl.vtime_, vft);
-    ctrl.grant(tenant);
+    ++ctrl.inflight_;
     return true;
   }
   void await_suspend(std::coroutine_handle<> h) {
-    const int cls = static_cast<int>(tenant.quota.priority);
-    ctrl.queues_[cls].push_back(
-        Waiter{.handle = h, .tenant = &tenant, .vft = vft, .seq = ctrl.next_seq_++});
+    ctrl.queues_[cls].push_back(Waiter{.handle = h, .vft = vft, .seq = ctrl.next_seq_++});
   }
   void await_resume() const noexcept {}  // slot transferred by dispatch()
 };
@@ -205,7 +183,7 @@ sim::SubTask<AdmissionController::Ticket> AdmissionController::admit(Tenant& ten
   const int cls = static_cast<int>(tenant.quota.priority);
   // Bounded queue: reject instead of building unbounded backlog. Checked
   // before pacing so a rejected op costs the client one cheap roundtrip.
-  if (!can_grant_now(tenant) && queues_[cls].size() >= config_.queue_depth) {
+  if (!can_grant_now() && queues_[cls].size() >= config_.queue_depth) {
     ++stats_.rejected;
     ++tenant.usage.rejected;
     throw Backpressure(strf("tenant {} {} admission queue full ({} deep)", tenant.id,
@@ -213,13 +191,13 @@ sim::SubTask<AdmissionController::Ticket> AdmissionController::admit(Tenant& ten
   }
 
   // Token-bucket pacing: burn the tenant's own time before competing for a
-  // slot, so a paced tenant never occupies WR budget while throttled.
+  // slot, so a paced tenant never occupies WR budget while throttled. The
+  // bucket holds one op's bytes, so an idle tenant banks no burst.
   if (tenant.quota.rate_bytes_per_sec > 0) {
     const double rate = static_cast<double>(tenant.quota.rate_bytes_per_sec);
-    const double burst = static_cast<double>(
-        tenant.quota.burst_bytes > 0 ? tenant.quota.burst_bytes : bytes);
     const Time now = engine_.now();
-    tenant.tokens = std::min(burst, tenant.tokens + rate * to_seconds(now - tenant.bucket_at));
+    tenant.tokens = std::min(static_cast<double>(bytes),
+                             tenant.tokens + rate * to_seconds(now - tenant.bucket_at));
     tenant.bucket_at = now;
     tenant.tokens -= static_cast<double>(bytes);
     if (tenant.tokens < 0.0) {
@@ -232,14 +210,16 @@ sim::SubTask<AdmissionController::Ticket> AdmissionController::admit(Tenant& ten
 
   const double vft = stamp(tenant, bytes);
   const Time t0 = engine_.now();
-  co_await WaitAwaitable{*this, tenant, vft};
+  co_await WaitAwaitable{*this, cls, vft};
   const auto waited = engine_.now() - t0;
+  ++stats_.admitted;
   stats_.queue_wait_total += waited;
   stats_.queue_wait_max = std::max(stats_.queue_wait_max, waited);
+  ++tenant.usage.admitted;
   tenant.usage.queue_wait_total += waited;
   tenant.usage.queue_wait_max = std::max(tenant.usage.queue_wait_max, waited);
   tenant.usage.admitted_bytes += bytes;
-  co_return Ticket{this, &tenant};
+  co_return Ticket{this};
 }
 
 void AdmissionController::pause() {

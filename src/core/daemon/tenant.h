@@ -1,4 +1,4 @@
-// Multi-tenant QoS for the Portus daemon: quotas, priority classes, and an
+// Multi-tenant QoS for the Portus daemon: quotas, priority classes, and the
 // admission controller in front of the checkpoint hot path.
 //
 // A production checkpoint service fronts an entire training fleet
@@ -8,16 +8,18 @@
 //
 //   * TenantRegistry — per-tenant identity with a granted quota (PMEM
 //     capacity bytes charged at registration, token-bucket byte rate,
-//     in-flight WR-slot share, WFQ weight, priority class). Registrations
-//     negotiate: the client *requests*, the registry clamps against daemon
-//     policy and answers with the grant (protocol v5).
+//     priority class). Registrations negotiate: the client *requests*, the
+//     registry clamps against daemon policy and answers with the grant
+//     (protocol v5). An untenanted daemon files every model under one
+//     unlimited "default" tenant.
 //
-//   * AdmissionController — every checkpoint acquires an admission Ticket
-//     before it may occupy a daemon worker or post a single WR:
+//   * AdmissionController — every daemon's one gate: each checkpoint
+//     acquires an admission Ticket before it may occupy a daemon worker or
+//     post a single WR:
 //       1. token-bucket pacing (a tenant over its byte rate sleeps off its
 //          debt *before* competing for a slot);
-//       2. strict priority across the three classes, weighted fair queuing
-//          (start-time-fair virtual finish tags) within a class;
+//       2. strict priority across the three classes, start-time-fair
+//          queuing (virtual finish tags in bytes) within a class;
 //       3. a bounded per-class queue — when full, the op is rejected with
 //          Backpressure, which the client retries with jittered
 //          exponential backoff (PortusClient::RetryPolicy).
@@ -33,8 +35,8 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -55,10 +57,7 @@ PriorityClass priority_from_wire(std::uint8_t v);
 
 struct TenantQuota {
   Bytes capacity_bytes = 0;      // PMEM the tenant may hold; 0 = unlimited
-  Bytes rate_bytes_per_sec = 0;  // token-bucket refill; 0 = unpaced
-  Bytes burst_bytes = 0;         // bucket depth; 0 = auto (one op's bytes)
-  double share = 1.0;            // WFQ weight within the priority class
-  std::uint32_t wr_slots = 0;    // per-tenant in-flight cap; 0 = global only
+  Bytes rate_bytes_per_sec = 0;  // token-bucket refill (depth: one op); 0 = unpaced
   PriorityClass priority = PriorityClass::kNormal;
 };
 
@@ -80,14 +79,13 @@ struct Tenant {
   std::string id;
   TenantQuota quota;
   TenantUsage usage;
-  std::set<std::string> models;  // registrations charged to this tenant
+  std::map<std::string, Bytes> models;  // registrations charged -> bytes billed
   // Token bucket (negative = debt the next op sleeps off).
   double tokens = 0.0;
   Time bucket_at{0};
-  // WFQ bookkeeping: virtual finish tag of this tenant's last admission,
-  // in weighted-byte virtual time.
+  // Fair-queuing bookkeeping: virtual finish tag of this tenant's last
+  // admission, in byte virtual time.
   double vfinish = 0.0;
-  int inflight = 0;
 };
 
 class TenantRegistry {
@@ -114,11 +112,12 @@ class TenantRegistry {
 
   // Capacity accounting. charge() bills `bytes` of PMEM for `model_name`
   // at registration time (idempotent per model: true only when this call
-  // billed) and throws ResourceExhausted when the tenant would exceed its
-  // granted capacity. uncharge() returns the bytes when the repacker
-  // reclaims the model's slots or its registration fails (also idempotent).
+  // billed). It throws ResourceExhausted when the tenant would exceed its
+  // granted capacity, and InvalidArgument when another tenant owns the
+  // model. uncharge() refunds exactly what the model was billed when the
+  // repacker reclaims its slots or its registration fails (also idempotent).
   bool charge(Tenant& tenant, const std::string& model_name, Bytes bytes);
-  void uncharge(const std::string& model_name, Bytes bytes);
+  void uncharge(const std::string& model_name);
 
   std::vector<const Tenant*> tenants() const;  // sorted by id (render order)
   std::size_t size() const { return tenants_.size(); }
@@ -132,10 +131,12 @@ class TenantRegistry {
 class AdmissionController final : public sim::Resettable {
  public:
   struct Config {
-    int max_inflight = 8;             // WR-slot budget across all tenants
-    std::uint32_t queue_depth = 64;   // bounded queue per priority class
-    Duration retry_after{2'000'000};  // Backpressure pacing hint (2 ms)
+    int max_inflight = 8;            // WR-slot budget across all tenants
+    std::uint32_t queue_depth = 64;  // bounded queue per priority class
   };
+  static constexpr std::uint32_t kUnboundedQueue = std::numeric_limits<std::uint32_t>::max();
+  // Pacing hint a Backpressure answer carries to the client.
+  static constexpr Duration kRetryAfter{2'000'000};  // 2 ms
 
   struct Stats {
     std::uint64_t admitted = 0;
@@ -159,13 +160,11 @@ class AdmissionController final : public sim::Resettable {
   class [[nodiscard]] Ticket {
    public:
     Ticket() = default;
-    Ticket(Ticket&& o) noexcept
-        : ctrl_{std::exchange(o.ctrl_, nullptr)}, tenant_{std::exchange(o.tenant_, nullptr)} {}
+    Ticket(Ticket&& o) noexcept : ctrl_{std::exchange(o.ctrl_, nullptr)} {}
     Ticket& operator=(Ticket&& o) noexcept {
       if (this != &o) {
         release();
         ctrl_ = std::exchange(o.ctrl_, nullptr);
-        tenant_ = std::exchange(o.tenant_, nullptr);
       }
       return *this;
     }
@@ -175,15 +174,14 @@ class AdmissionController final : public sim::Resettable {
 
    private:
     friend class AdmissionController;
-    Ticket(AdmissionController* c, Tenant* t) : ctrl_{c}, tenant_{t} {}
+    explicit Ticket(AdmissionController* c) : ctrl_{c} {}
     AdmissionController* ctrl_ = nullptr;
-    Tenant* tenant_ = nullptr;
   };
 
   // Await admission for an op moving `bytes`. Throws Backpressure
   // immediately when the tenant's class queue is at its depth bound;
   // otherwise paces on the token bucket, then waits for a slot in
-  // strict-priority / WFQ order.
+  // strict-priority / fair-queuing order.
   sim::SubTask<Ticket> admit(Tenant& tenant, Bytes bytes);
 
   // Online-repack relocation barrier: a paused controller grants nothing
@@ -200,23 +198,17 @@ class AdmissionController final : public sim::Resettable {
  private:
   struct Waiter {
     std::coroutine_handle<> handle;
-    Tenant* tenant = nullptr;
-    double vft = 0.0;  // virtual finish tag (WFQ key within the class)
+    double vft = 0.0;  // virtual finish tag (fair-queuing key within the class)
     std::uint64_t seq = 0;
   };
   struct WaitAwaitable;
 
-  bool can_grant_now(const Tenant& tenant) const;
-  bool tenant_capped(const Tenant& tenant) const {
-    return tenant.quota.wr_slots > 0 &&
-           tenant.inflight >= static_cast<int>(tenant.quota.wr_slots);
-  }
-  // Tag the admission in weighted-byte virtual time and advance the
-  // tenant's finish tag.
+  bool can_grant_now() const;
+  // Tag the admission in byte virtual time and advance the tenant's
+  // finish tag.
   double stamp(Tenant& tenant, Bytes bytes);
-  void grant(Tenant& tenant);
-  void finish(Tenant* tenant);  // Ticket release path
-  void dispatch();              // hand free slots to the best waiters
+  void finish();    // Ticket release path
+  void dispatch();  // hand free slots to the best waiters
 
   sim::Engine& engine_;
   Config config_;
@@ -225,7 +217,7 @@ class AdmissionController final : public sim::Resettable {
   int inflight_ = 0;
   bool paused_ = false;
   Time pause_began_{0};
-  double vtime_ = 0.0;  // global WFQ virtual time (weighted bytes served)
+  double vtime_ = 0.0;  // global fair-queuing virtual time (bytes served)
   std::uint64_t next_seq_ = 0;
 };
 

@@ -91,13 +91,10 @@ std::string Portusctl::render_stats() {
 
 std::string Portusctl::render_tenants() {
   std::string out = "--- tenants ---\n";
-  const TenantRegistry* reg = daemon_.tenants();
-  if (reg == nullptr) return out + "tenancy disabled on this daemon\n";
-
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"TENANT", "CLASS", "MODELS", "CHARGED", "CAPACITY", "RATE", "WR",
-                  "ADMITTED", "REJECTED", "PACED", "QWAIT-MAX"});
-  for (const Tenant* t : reg->tenants()) {
+  rows.push_back({"TENANT", "CLASS", "MODELS", "CHARGED", "CAPACITY", "RATE", "ADMITTED",
+                  "REJECTED", "PACED", "QWAIT-MAX"});
+  for (const Tenant* t : daemon_.tenants()->tenants()) {
     rows.push_back(
         {t->id, to_string(t->quota.priority), format_count(t->usage.models),
          format_bytes(t->usage.charged_bytes),
@@ -106,22 +103,19 @@ std::string Portusctl::render_tenants() {
              ? format_bandwidth(Bandwidth::bytes_per_sec(
                    static_cast<double>(t->quota.rate_bytes_per_sec)))
              : "unpaced",
-         t->quota.wr_slots > 0 ? strf("{}", t->quota.wr_slots) : "-",
          format_count(t->usage.admitted),
          format_count(t->usage.rejected + t->usage.quota_rejects),
          format_duration(t->usage.paced_total), format_duration(t->usage.queue_wait_max)});
   }
-  out += format_table(rows, "<<>>>>>>>>>");
+  out += format_table(rows, "<<>>>>>>>>");
 
-  if (const AdmissionController* adm = daemon_.admission(); adm != nullptr) {
-    const auto& s = adm->stats();
-    out += strf(
-        "admission: {} inflight, {} queued, {} admitted, {} rejected, "
-        "{} paced, {} pauses ({} paused)\n",
-        adm->inflight(), adm->queued(), format_count(s.admitted),
-        format_count(s.rejected), format_count(s.paced), s.pauses,
-        format_duration(s.paused_total));
-  }
+  const AdmissionController& adm = *daemon_.admission();
+  const auto& s = adm.stats();
+  out += strf(
+      "admission: {} inflight, {} queued, {} admitted, {} rejected, "
+      "{} paced, {} pauses ({} paused)\n",
+      adm.inflight(), adm.queued(), format_count(s.admitted), format_count(s.rejected),
+      format_count(s.paced), s.pauses, format_duration(s.paused_total));
   return out;
 }
 

@@ -261,4 +261,18 @@ FinishJobMsg decode_finish_job(std::span<const std::byte> wire) {
   return m;
 }
 
+std::vector<std::byte> encode(const ErrorMsg& m) {
+  BinaryWriter w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kError));
+  w.str(m.error);
+  return w.take();
+}
+
+ErrorMsg decode_error(std::span<const std::byte> wire) {
+  auto r = body_reader(wire, MsgType::kError);
+  ErrorMsg m;
+  m.error = r.str();
+  return m;
+}
+
 }  // namespace portus::core

@@ -157,11 +157,10 @@ struct RegisterAckMsg {
   // single-SGE datapath (coalescing off).
   std::uint32_t max_sges = 1;
   // --- tenancy grant (v5): what the admission controller will hold this
-  // registration's tenant to. 0 = unlimited / unpaced (tenancy off or no
-  // policy ceiling).
+  // registration's tenant to. 0 = unlimited / unpaced (no policy ceiling).
   Bytes granted_capacity = 0;
   Bytes granted_rate = 0;
-  std::uint32_t granted_wr_slots = 0;  // in-flight checkpoint admissions
+  std::uint32_t granted_wr_slots = 0;  // in-flight checkpoints, all tenants
   // v6 elasticity: ok=false with epoch_mismatch=true means the client's
   // membership epoch is stale; current_membership_epoch is the daemon's.
   bool epoch_mismatch = false;
@@ -219,6 +218,12 @@ struct FinishJobMsg {
   std::string model_name;
 };
 
+// The daemon's answer to a request it cannot serve when the request has no
+// reply type that can carry a failure (FINISH_JOB for an unknown model).
+struct ErrorMsg {
+  std::string error;
+};
+
 // --- encoding ---------------------------------------------------------------
 // Every wire message is [u8 MsgType][body...]. decode_type() peeks the tag.
 
@@ -230,6 +235,7 @@ std::vector<std::byte> encode(const CheckpointReqMsg& m);
 std::vector<std::byte> encode(const OpDoneMsg& m);
 std::vector<std::byte> encode(const RestoreReqMsg& m);
 std::vector<std::byte> encode(const FinishJobMsg& m);
+std::vector<std::byte> encode(const ErrorMsg& m);
 
 RegisterModelMsg decode_register_model(std::span<const std::byte> wire);
 RegisterAckMsg decode_register_ack(std::span<const std::byte> wire);
@@ -238,6 +244,7 @@ CheckpointReqMsg decode_checkpoint_req(std::span<const std::byte> wire);
 OpDoneMsg decode_op_done(std::span<const std::byte> wire, MsgType expected);
 RestoreReqMsg decode_restore_req(std::span<const std::byte> wire);
 FinishJobMsg decode_finish_job(std::span<const std::byte> wire);
+ErrorMsg decode_error(std::span<const std::byte> wire);
 
 // --- QP rendezvous (simulation analogue of RDMA CM) -------------------------
 class QpRendezvous {

@@ -309,7 +309,7 @@ TEST(PortusE2ETest, RepackerFreesOutdatedVersionAfterFinish) {
   }(*client, model));
   r.eng.run();
 
-  ASSERT_TRUE(r.daemon->finished_models().contains("alexnet"));
+  ASSERT_TRUE(r.daemon->model_table().is_finished("alexnet"));
   const auto live_before = r.daemon->allocator().live_bytes();
   const auto report = Repacker{*r.daemon}.repack();
   EXPECT_EQ(report.slots_cleared, 1);

@@ -1,8 +1,9 @@
 // Multi-tenant subsystem (core/daemon/tenant.h + core/fleet): quota
 // negotiation and capacity accounting, strict-priority/WFQ admission order,
 // token-bucket pacing, bounded-queue Backpressure absorbed by client retry,
-// the v5 tenant-field wire roundtrip, and online repacking running under
-// live admitted traffic without corrupting the image.
+// the v5 tenant-field wire roundtrip, online repacking running under live
+// admitted traffic without corrupting the image, and untenanted daemons
+// admitting through the same gate as one unbounded default tenant.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -71,12 +72,32 @@ TEST(TenantRegistryTest, CapacityOverdraftRejectsAndUnchargeRefunds) {
   EXPECT_EQ(t.usage.charged_bytes, 60_MiB) << "rejected charge must not bill";
 
   reg.charge(t, "m3", 30_MiB);
-  reg.uncharge("m1", 60_MiB);
+  reg.uncharge("m1");
   EXPECT_EQ(t.usage.charged_bytes, 30_MiB);
   EXPECT_EQ(reg.owner_of("m1"), nullptr);
   // The refunded headroom admits the previously rejected registration.
   reg.charge(t, "m2", 60_MiB);
   EXPECT_EQ(t.usage.charged_bytes, 90_MiB);
+}
+
+TEST(TenantRegistryTest, ChargeRefusesModelOwnedByAnotherTenant) {
+  TenantRegistry reg;
+  Tenant& a = reg.admit_tenant("a", PriorityClass::kNormal, 0, 0);
+  Tenant& b = reg.admit_tenant("b", PriorityClass::kNormal, 0, 0);
+  reg.charge(a, "m", 10_MiB);
+
+  // b re-registering a's model must not bill b, nor strand a's charge
+  // where uncharge() can no longer find it.
+  try {
+    reg.charge(b, "m", 10_MiB);
+    ADD_FAILURE() << "a second tenant was billed for a charged model";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string{e.what()}.find("tenant a"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(a.usage.charged_bytes, 10_MiB);
+  EXPECT_EQ(b.usage.charged_bytes, 0u);
+  EXPECT_EQ(b.usage.models, 0u);
+  EXPECT_EQ(reg.owner_of("m"), &a);
 }
 
 // --- AdmissionController: strict priority, WFQ, pacing, backpressure ---------
@@ -129,12 +150,12 @@ TEST(AdmissionControllerTest, WeightedFairQueuingWithinClass) {
     Tenant& a = reg.admit_tenant("a", PriorityClass::kNormal, 0, 0);
     Tenant& b = reg.admit_tenant("b", PriorityClass::kNormal, 0, 0);
     Tenant& holder = reg.admit_tenant("holder", PriorityClass::kNormal, 0, 0);
-    b.quota.share = 2.0;  // b pays half the virtual time per byte
 
     std::vector<std::string> order;
-    // Equal bytes, queued a1 a2 b1 b2. Start-time-fair tags: a1=1.0 a2=2.0,
-    // b1=0.5 b2=1.0 (weighted). WFQ order interleaves b1 a1 b2 a2 — plain
-    // FIFO (a1 a2 b1 b2) would let a's backlog starve the weighted tenant.
+    // Equal bytes, queued a1 a2 b1 b2. Start-time-fair tags (in MiB): a1=1
+    // a2=2, b1=1 b2=2. Fair order interleaves a1 b1 a2 b2 (ties go to the
+    // earlier arrival) — plain FIFO (a1 a2 b1 b2) would let a's backlog
+    // starve b.
     eng.spawn(hold_then_release(eng, ctrl, holder, Duration{1'000'000}));
     eng.spawn(admit_and_record(ctrl, a, 1_MiB, order, "a1"));
     eng.spawn(admit_and_record(ctrl, a, 1_MiB, order, "a2"));
@@ -143,10 +164,10 @@ TEST(AdmissionControllerTest, WeightedFairQueuingWithinClass) {
     eng.run();
 
     ASSERT_EQ(order.size(), 4u);
-    EXPECT_EQ(order[0], "b1");
-    EXPECT_EQ(order[1], "a1");
-    EXPECT_EQ(order[2], "b2");
-    EXPECT_EQ(order[3], "a2");
+    EXPECT_EQ(order[0], "a1");
+    EXPECT_EQ(order[1], "b1");
+    EXPECT_EQ(order[2], "a2");
+    EXPECT_EQ(order[3], "b2");
   }
   eng.shutdown();
 }
@@ -454,6 +475,150 @@ TEST(FleetTest, OnlineRepackUnderLiveTrafficLeavesCleanImage) {
   ASSERT_TRUE(slot.has_value());
   EXPECT_EQ(idx.slot(*slot).epoch, 6u);
   EXPECT_TRUE(Fsck{*r.daemon}.run(/*repair=*/true).clean());
+}
+
+// --- untenanted daemons: one unbounded default tenant behind the same gate ---
+
+// A phantom one-tensor model of `elems` f32 values.
+std::unique_ptr<dnn::Model> phantom_model(const std::string& name, net::Node& node,
+                                          std::int64_t elems) {
+  auto model = std::make_unique<dnn::Model>(name, node.gpu(0));
+  model->add_tensor(dnn::TensorMeta{.name = "w", .shape = {elems}}, /*phantom=*/true);
+  return model;
+}
+
+TEST(UntenantedGateTest, QueuesEveryCheckpointWithoutBackpressure) {
+  // One worker and more concurrent checkpoints than a tenanted class queue
+  // holds (64). The default tenant's queue is unbounded, so fail-fast
+  // clients (max_retries = 0) never see Backpressure: every op waits its
+  // turn at the gate.
+  TenancyRig r{PortusDaemon::Config{.workers = 1}};
+  auto& volta = r.cluster->node("client-volta");
+  constexpr int kClients = 72;
+  std::vector<std::unique_ptr<dnn::Model>> models;
+  std::vector<std::unique_ptr<PortusClient>> clients;
+  for (int i = 0; i < kClients; ++i) {
+    models.push_back(phantom_model(strf("job{}", i), volta, 1 << 14));
+    clients.push_back(
+        std::make_unique<PortusClient>(*r.cluster, volta, volta.gpu(0), r.rendezvous));
+  }
+
+  std::vector<std::uint64_t> epochs(kClients, 0);
+  auto proc = r.eng.spawn([](sim::Engine& eng,
+                             std::vector<std::unique_ptr<PortusClient>>& clients,
+                             std::vector<std::unique_ptr<dnn::Model>>& models,
+                             std::vector<std::uint64_t>& epochs) -> sim::Process {
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      co_await clients[i]->connect();
+      co_await clients[i]->register_model(*models[i]);
+    }
+    // Every checkpoint is issued at the same virtual instant.
+    std::vector<sim::Process> ops;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      ops.push_back(eng.spawn([](PortusClient& c, dnn::Model& m,
+                                 std::uint64_t& out) -> sim::Process {
+        out = co_await c.checkpoint(m, 1);
+      }(*clients[i], *models[i], epochs[i])));
+    }
+    for (auto& op : ops) co_await op.join();
+  }(r.eng, clients, models, epochs));
+  r.eng.run();
+  proc.check();
+
+  for (int i = 0; i < kClients; ++i) EXPECT_EQ(epochs[i], 1u) << "job" << i;
+  EXPECT_EQ(r.daemon->stats().failed_ops, 0u);
+  EXPECT_EQ(r.daemon->stats().backpressure_rejects, 0u);
+  ASSERT_NE(r.daemon->admission(), nullptr);
+  const auto& adm = r.daemon->admission()->stats();
+  EXPECT_EQ(adm.admitted, static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(adm.rejected, 0u);
+  EXPECT_GT(adm.queue_wait_total.count(), 0ll) << "the gate never queued anyone";
+  EXPECT_EQ(clients[0]->stats().granted_wr_slots, 1u) << "the grant echoes max_inflight";
+}
+
+TEST(UntenantedGateTest, OnlineRepackPausesAdmissions) {
+  TenancyRig r{PortusDaemon::Config{}};
+  auto& volta = r.cluster->node("client-volta");
+  auto dead = phantom_model("dead", volta, 1 << 20);
+  auto live = phantom_model("live", volta, 1 << 20);
+  PortusClient dead_client{*r.cluster, volta, volta.gpu(0), r.rendezvous};
+  PortusClient live_client{*r.cluster, volta, volta.gpu(0), r.rendezvous};
+
+  Repacker::Report report;
+  auto proc = r.eng.spawn([](TenancyRig& r, PortusClient& dc, dnn::Model& dead,
+                             PortusClient& lc, dnn::Model& live,
+                             Repacker::Report& report) -> sim::Process {
+    co_await dc.connect();
+    co_await dc.register_model(dead);
+    co_await dc.checkpoint(dead, 1);
+    co_await dc.checkpoint(dead, 2);
+    co_await dc.finish(dead);
+
+    co_await lc.connect();
+    co_await lc.register_model(live);
+    auto maint = r.eng.spawn(
+        [](PortusDaemon& d, Repacker::Report& out) -> sim::Process {
+          Repacker repacker{d};
+          Repacker::OnlineOptions opts;
+          opts.models_per_pass = 1;
+          out = co_await repacker.repack_online(opts);
+        }(*r.daemon, report));
+    for (std::uint64_t k = 1; k <= 6; ++k) {
+      const auto epoch = co_await lc.checkpoint(live, k);
+      if (epoch != k) throw Error("live checkpoint lost an epoch");
+    }
+    co_await maint.join();
+  }(r, dead_client, *dead, live_client, *live, report));
+  r.eng.run();
+  proc.check();
+
+  EXPECT_GT(report.freed_outdated, 0u);
+  ASSERT_NE(r.daemon->admission(), nullptr);
+  EXPECT_GT(r.daemon->admission()->stats().pauses, 0u)
+      << "the relocation barrier paused nothing";
+  EXPECT_FALSE(r.daemon->admission()->paused()) << "repack left admissions paused";
+  EXPECT_EQ(r.daemon->stats().backpressure_rejects, 0u);
+  EXPECT_TRUE(Fsck{*r.daemon}.run(/*repair=*/true).clean());
+}
+
+TEST(UntenantedGateTest, DefaultTenantIsChargedAndRefunded) {
+  TenancyRig r{PortusDaemon::Config{}};
+  auto& volta = r.cluster->node("client-volta");
+  auto model = phantom_model("solo", volta, 1 << 18);
+  PortusClient client{*r.cluster, volta, volta.gpu(0), r.rendezvous};
+  // An untenanted daemon ignores the client's identity and requests.
+  client.set_tenant(PortusClient::TenantSpec{
+      .id = "team-x", .priority = static_cast<std::uint8_t>(PriorityClass::kHigh)});
+
+  auto proc = r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.connect();
+    co_await c.register_model(m);
+  }(client, *model));
+  r.eng.run();
+  proc.check();
+
+  ASSERT_NE(r.daemon->tenants(), nullptr);
+  EXPECT_EQ(r.daemon->tenants()->size(), 1u);
+  EXPECT_EQ(r.daemon->tenants()->find("team-x"), nullptr);
+  const Tenant* t = r.daemon->tenants()->find("default");
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->quota.priority, PriorityClass::kNormal);
+  EXPECT_EQ(t->quota.capacity_bytes, 0u);
+  EXPECT_EQ(t->usage.charged_bytes, 2 * model->total_bytes());
+  EXPECT_EQ(r.daemon->tenants()->owner_of("solo"), t);
+
+  // Finished before any checkpoint: both slots are garbage, and reclaiming
+  // them refunds the whole charge.
+  auto fin = r.eng.spawn([](PortusClient& c, dnn::Model& m) -> sim::Process {
+    co_await c.finish(m);
+  }(client, *model));
+  r.eng.run();
+  fin.check();
+  const auto report = Repacker{*r.daemon}.repack();
+  EXPECT_EQ(report.slots_cleared, 2);
+  EXPECT_EQ(t->usage.charged_bytes, 0u);
+  EXPECT_EQ(t->usage.models, 0u);
+  EXPECT_EQ(r.daemon->tenants()->owner_of("solo"), nullptr);
 }
 
 // --- fleet generator smoke ----------------------------------------------------

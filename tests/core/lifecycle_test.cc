@@ -62,6 +62,35 @@ TEST(LifecycleTest, FinishedFlagSurvivesDaemonRestart) {
   EXPECT_GT(report.freed_outdated, 0u);
 }
 
+TEST(LifecycleTest, FinishOfUnknownModelFailsAndSessionKeepsServing) {
+  Rig r;
+  auto known = r.model("alexnet");
+  auto unknown = r.model("resnet50");
+  auto client = r.client();
+  std::string refusal;
+  std::uint64_t epoch = 0;
+  auto proc = r.eng.spawn([](PortusClient& c, dnn::Model& known, dnn::Model& unknown,
+                             std::string& refusal, std::uint64_t& epoch) -> sim::Process {
+    co_await c.connect();
+    co_await c.register_model(known);
+    co_await c.checkpoint(known, 1);
+    try {
+      co_await c.finish(unknown);  // never registered
+    } catch (const NotFound& e) {
+      refusal = e.what();
+    }
+    // The daemon answered and kept serving this session.
+    epoch = co_await c.checkpoint(known, 2);
+  }(*client, known, unknown, refusal, epoch));
+  r.eng.run();
+  proc.check();
+
+  EXPECT_NE(refusal.find("resnet50"), std::string::npos) << "refusal: " << refusal;
+  EXPECT_EQ(epoch, 2u);
+  EXPECT_FALSE(r.daemon->model_table().is_finished("alexnet"));
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
 TEST(LifecycleTest, RepackedModelResumesTrainingWithFreshSlot) {
   Rig r;
   auto model = r.model("resnet50");
