@@ -130,11 +130,27 @@ sim::Process PortusDaemon::accept_loop() {
 sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) {
   std::erase_if(client_sockets_, [](const auto& w) { return w.expired(); });
   client_sockets_.push_back(socket);
+  // A request the daemon cannot serve is answered with its cause, and the
+  // session keeps serving: an op whose body does not decode gets a failed
+  // reply of its own type, anything else an ErrorMsg.
+  const auto refuse_op = [&](MsgType reply_type, const Error& cause) {
+    ++stats_.failed_ops;
+    OpDoneMsg reply;
+    reply.type = reply_type;
+    reply.error = cause.what();
+    socket->send(encode(reply));
+  };
+  const auto refuse = [&](std::string error) {
+    ++stats_.failed_ops;
+    socket->send(encode(ErrorMsg{.error = std::move(error)}));
+  };
   try {
     for (;;) {
       const auto wire = co_await socket->recv();
       if (hung_) continue;  // gray failure: swallow the request, answer nothing
-      switch (decode_type(wire)) {
+      // An empty frame carries no tag; MsgType{} names no message.
+      const MsgType type = wire.empty() ? MsgType{} : decode_type(wire);
+      switch (type) {
         case MsgType::kRegisterModel: {
           RegisterModelMsg msg;
           try {
@@ -147,31 +163,46 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
             ++stats_.failed_ops;
             socket->send(encode(RegisterAckMsg{.ok = false, .error = e.what()}));
             break;
+          } catch (const Corruption& e) {
+            ++stats_.failed_ops;
+            socket->send(encode(RegisterAckMsg{.ok = false, .error = e.what()}));
+            break;
           }
           auto reply = co_await handle_register(std::move(msg));
           if (!hung_) socket->send(encode(reply));
           break;
         }
         case MsgType::kCheckpointReq: {
-          auto reply = co_await handle_op(decode_checkpoint_req(wire));
+          CheckpointReqMsg msg;
+          try {
+            msg = decode_checkpoint_req(wire);
+          } catch (const Corruption& e) {
+            refuse_op(MsgType::kCheckpointDone, e);
+            break;
+          }
+          auto reply = co_await handle_op(std::move(msg));
           if (!hung_) socket->send(encode(reply));
           break;
         }
         case MsgType::kRestoreReq: {
-          auto reply = co_await handle_op(decode_restore_req(wire));
+          RestoreReqMsg msg;
+          try {
+            msg = decode_restore_req(wire);
+          } catch (const Corruption& e) {
+            refuse_op(MsgType::kRestoreDone, e);
+            break;
+          }
+          auto reply = co_await handle_op(std::move(msg));
           if (!hung_) socket->send(encode(reply));
           break;
         }
         case MsgType::kFinishJob: {
           // The persisted finished hint is the repacker's one input. An
-          // unknown model is answered with the cause, and the session
-          // keeps serving.
-          const auto msg = decode_finish_job(wire);
+          // unknown model or an undecodable body is answered with the cause.
           try {
-            model_table_->set_finished(msg.model_name);
-          } catch (const NotFound& e) {
-            ++stats_.failed_ops;
-            socket->send(encode(ErrorMsg{.error = e.what()}));
+            model_table_->set_finished(decode_finish_job(wire).model_name);
+          } catch (const Error& e) {
+            refuse(e.what());
             break;
           }
           BinaryWriter w;
@@ -180,7 +211,9 @@ sim::Process PortusDaemon::session_loop(std::shared_ptr<net::TcpSocket> socket) 
           break;
         }
         default:
-          throw Corruption("unexpected message type on daemon socket");
+          refuse(strf("unexpected message type {} on daemon socket",
+                      static_cast<unsigned>(type)));
+          break;
       }
     }
   } catch (const Disconnected&) {

@@ -1,7 +1,5 @@
 #include "sim/engine.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace portus::sim {
@@ -10,28 +8,48 @@ Engine::~Engine() { shutdown(); }
 
 void Engine::shutdown() {
   drain_retired();
-  // Destroy any still-live (suspended) coroutine frames. Coroutine
-  // destruction runs pending local destructors (e.g. an aborting
+  // Destroy any still-live (suspended) coroutine frames, in spawn order.
+  // Coroutine destruction runs pending local destructors (e.g. an aborting
   // CheckpointTxn), so callers should shut down while the objects those
-  // destructors touch are still alive.
-  for (auto h : live_) {
-    if (h) h.destroy();
+  // destructors touch are still alive. Popping from the head keeps this
+  // safe when such a destructor spawns or deregisters.
+  while (!live_.empty()) {
+    auto* promise = live_.front();
+    live_.erase(promise);
+    std::coroutine_handle<Process::promise_type>::from_promise(*promise).destroy();
   }
-  live_.clear();
   drain_retired();
-  while (!queue_.empty()) queue_.pop();
+  // Drop pending events in firing order; a callback is destroyed out of its
+  // slot, so its captures may schedule without invalidating the slot vector.
+  while (!queue_.empty()) {
+    const Event ev = queue_.top();
+    queue_.pop();
+    if (!ev.resume) {
+      auto dropped = std::move(callbacks_[ev.slot]);
+    }
+  }
+  callbacks_.clear();
+  free_slots_.clear();
   // Clear waiter registrations pointing at the frames just destroyed.
-  for (auto* r : resettables_) r->reset_waiters();
+  resettables_.for_each([](Resettable* r) { r->reset_waiters(); });
 }
 
-void Engine::deregister_resettable(Resettable* r) {
-  resettables_.erase(std::remove(resettables_.begin(), resettables_.end(), r),
-                     resettables_.end());
+void Engine::push(Duration delay, std::coroutine_handle<> resume, std::uint32_t slot) {
+  PORTUS_CHECK_ARG(delay >= kZeroDuration, "cannot schedule events in the past");
+  queue_.push(Event{now_ + delay, next_seq_++, resume, slot});
 }
 
 void Engine::schedule(Duration delay, std::function<void()> fn) {
-  PORTUS_CHECK_ARG(delay >= kZeroDuration, "cannot schedule events in the past");
-  queue_.push(Event{now_ + delay, next_seq_++, std::move(fn)});
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(fn);
+  }
+  push(delay, nullptr, slot);
 }
 
 Process Engine::spawn(Process p) {
@@ -39,16 +57,19 @@ Process Engine::spawn(Process p) {
   auto state = p.state();
   state->engine = this;
   auto handle = p.release_handle_for_spawn();
-  live_.push_back(handle);
-  schedule_now([handle] { handle.resume(); });
+  live_.push_back(&handle.promise());
+  push(kZeroDuration, handle, 0);
   return p;
 }
 
 void Engine::resume_later(std::coroutine_handle<> h, Duration delay) {
-  schedule(delay, [h] { h.resume(); });
+  PORTUS_CHECK_ARG(h != nullptr, "cannot resume an empty coroutine handle");
+  push(delay, h, 0);
 }
 
-void Engine::retire_process(std::coroutine_handle<> h, std::shared_ptr<Process::State> state) {
+void Engine::retire_process(std::coroutine_handle<Process::promise_type> h,
+                            std::shared_ptr<Process::State> state) {
+  live_.erase(&h.promise());
   retired_.push_back(h);
   if (state && state->error) {
     error_states_.push_back(std::move(state));
@@ -56,21 +77,24 @@ void Engine::retire_process(std::coroutine_handle<> h, std::shared_ptr<Process::
 }
 
 void Engine::drain_retired() {
-  for (auto h : retired_) {
-    live_.erase(std::remove(live_.begin(), live_.end(), h), live_.end());
-    h.destroy();
-  }
+  for (auto h : retired_) h.destroy();
   retired_.clear();
 }
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top is const; the event is copied out via const_cast-free
-  // move by re-pushing semantics: copy the lightweight fields, then pop.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  const Event ev = queue_.top();
   queue_.pop();
   now_ = ev.at;
-  ev.fn();
+  if (ev.resume) {
+    ev.resume.resume();
+  } else {
+    // Free the slot before the call: the callback may schedule again.
+    auto fn = std::move(callbacks_[ev.slot]);
+    callbacks_[ev.slot] = nullptr;
+    free_slots_.push_back(ev.slot);
+    fn();
+  }
   ++events_processed_;
   drain_retired();
   return true;

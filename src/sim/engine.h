@@ -9,6 +9,11 @@
 // Determinism: events fire in (time, insertion-sequence) order, processes
 // are resumed only from the run loop (never recursively), and nothing reads
 // wall-clock time or ambient entropy.
+//
+// Bookkeeping is O(1) per event: live processes and registered Resettables
+// sit on intrusive lists (hooks in Process::promise_type and Resettable),
+// and an event is a plain record that resumes a coroutine handle directly
+// or names the slot that parks a callback.
 #pragma once
 
 #include <coroutine>
@@ -20,6 +25,7 @@
 
 #include "common/error.h"
 #include "common/units.h"
+#include "sim/intrusive_list.h"
 #include "sim/process.h"
 
 namespace portus::sim {
@@ -33,7 +39,16 @@ class Resettable {
   virtual void reset_waiters() noexcept = 0;
 
  protected:
+  Resettable() = default;
+  Resettable(const Resettable&) = delete;
+  Resettable& operator=(const Resettable&) = delete;
   ~Resettable() = default;
+
+ private:
+  friend class IntrusiveList<Resettable>;
+  // Hooks of the engine's registration list.
+  Resettable* list_prev = nullptr;
+  Resettable* list_next = nullptr;
 };
 
 class Engine {
@@ -83,20 +98,25 @@ class Engine {
 
   // --- internal (used by process/sync machinery) ---
   void resume_later(std::coroutine_handle<> h, Duration delay = kZeroDuration);
-  void retire_process(std::coroutine_handle<> h, std::shared_ptr<Process::State> state);
+  void retire_process(std::coroutine_handle<Process::promise_type> h,
+                      std::shared_ptr<Process::State> state);
   void register_resettable(Resettable* r) { resettables_.push_back(r); }
-  void deregister_resettable(Resettable* r);
+  void deregister_resettable(Resettable* r) { resettables_.erase(r); }
 
  private:
+  // Resumes `resume`, or, when it is null, runs the callback parked in
+  // callbacks_[slot].
   struct Event {
     Time at;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::coroutine_handle<> resume;
+    std::uint32_t slot;
     friend bool operator>(const Event& a, const Event& b) {
       return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
   };
 
+  void push(Duration delay, std::coroutine_handle<> resume, std::uint32_t slot);
   void drain_retired();
   bool step();  // execute one event; returns false when queue empty
 
@@ -104,10 +124,12 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::vector<std::coroutine_handle<>> live_;
-  std::vector<std::coroutine_handle<>> retired_;
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<std::uint32_t> free_slots_;
+  IntrusiveList<Process::promise_type> live_;  // spawn order
+  std::vector<std::coroutine_handle<Process::promise_type>> retired_;
   std::vector<std::shared_ptr<Process::State>> error_states_;
-  std::vector<Resettable*> resettables_;
+  IntrusiveList<Resettable> resettables_;  // registration order
 };
 
 }  // namespace portus::sim

@@ -45,6 +45,9 @@ class Process {
 
   struct promise_type {
     std::shared_ptr<State> state = std::make_shared<State>();
+    // Hooks of the engine's live-process list (sim/intrusive_list.h).
+    promise_type* list_prev = nullptr;
+    promise_type* list_next = nullptr;
 
     Process get_return_object() {
       return Process{std::coroutine_handle<promise_type>::from_promise(*this), state};

@@ -226,6 +226,72 @@ TEST(RobustnessTest, CheckpointOfUnregisteredModelFails) {
   EXPECT_EQ(r.daemon->stats().failed_ops, 1u);
 }
 
+TEST(RobustnessTest, MalformedFramesAreAnsweredAndSessionKeepsServing) {
+  Rig r;
+  auto& node = r.cluster->node("client-volta");
+  dnn::ModelZoo::Options opt;
+  opt.scale = 0.02;
+  auto model = dnn::ModelZoo::create(node.gpu(0), "alexnet", opt);
+  PortusClient client{*r.cluster, node, node.gpu(0), r.rendezvous};
+  struct Replies {
+    MsgType unknown_type{};
+    std::string unknown_error;
+    RegisterAckMsg bad_register;
+    MsgType bad_finish_type{};
+    OpDoneMsg bad_checkpoint;
+    OpDoneMsg bad_restore;
+    OpDoneMsg checkpoint;
+  };
+  Replies got;
+  // The model is registered through a client; the bad frames and the op
+  // after them share one raw session socket.
+  auto proc = r.eng.spawn([](net::Cluster& cluster, PortusClient& c, dnn::Model& m,
+                             Replies& got) -> sim::Process {
+    co_await c.connect();
+    co_await c.register_model(m);
+    co_await c.checkpoint(m, 1);
+    auto raw = co_await cluster.endpoint("portusd").connect();
+
+    raw->send({std::byte{0xEE}, std::byte{0x01}});  // no such message type
+    const auto error_wire = co_await raw->recv();
+    got.unknown_type = decode_type(error_wire);
+    if (got.unknown_type == MsgType::kError) got.unknown_error = decode_error(error_wire).error;
+
+    raw->send({static_cast<std::byte>(MsgType::kRegisterModel)});  // body cut off
+    got.bad_register = decode_register_ack(co_await raw->recv());
+    raw->send({static_cast<std::byte>(MsgType::kFinishJob)});
+    got.bad_finish_type = decode_type(co_await raw->recv());
+
+    raw->send({static_cast<std::byte>(MsgType::kCheckpointReq)});
+    got.bad_checkpoint = decode_op_done(co_await raw->recv(), MsgType::kCheckpointDone);
+    raw->send({static_cast<std::byte>(MsgType::kRestoreReq), std::byte{0x07}});
+    got.bad_restore = decode_op_done(co_await raw->recv(), MsgType::kRestoreDone);
+
+    raw->send(encode(CheckpointReqMsg{.model_name = "alexnet", .iteration = 2}));
+    got.checkpoint = decode_op_done(co_await raw->recv(), MsgType::kCheckpointDone);
+  }(*r.cluster, client, model, got));
+  // A session that dies on a bad frame never answers; the virtual-time
+  // deadline turns that hang into a failure.
+  r.eng.run_until(Time{10s});
+  ASSERT_TRUE(proc.done()) << "the daemon stopped answering the session";
+  proc.check();
+
+  EXPECT_EQ(got.unknown_type, MsgType::kError);
+  EXPECT_NE(got.unknown_error.find("unexpected message type 238"), std::string::npos)
+      << got.unknown_error;
+  EXPECT_FALSE(got.bad_register.ok);
+  EXPECT_EQ(got.bad_finish_type, MsgType::kError);
+  EXPECT_FALSE(got.bad_checkpoint.ok);
+  EXPECT_NE(got.bad_checkpoint.error.find("past end"), std::string::npos)
+      << got.bad_checkpoint.error;
+  EXPECT_FALSE(got.bad_restore.ok);
+  EXPECT_NE(got.bad_restore.error.find("past end"), std::string::npos) << got.bad_restore.error;
+  EXPECT_TRUE(got.checkpoint.ok) << got.checkpoint.error;
+  EXPECT_EQ(got.checkpoint.epoch, 2u);
+  EXPECT_EQ(r.daemon->stats().failed_ops, 5u);
+  EXPECT_EQ(r.eng.failed_process_count(), 0);
+}
+
 TEST(RobustnessTest, OperationsBeforeConnectFail) {
   Rig r;
   auto& node = r.cluster->node("client-volta");
